@@ -4,12 +4,12 @@ The package provides, over exact arithmetic:
 
 * scalar, polynomial, rational-function, and cyclotomic-field arithmetic
   (``fields``, ``poly``, ``ratfunc``);
-* truncated Puiseux q-series, quantum integers, formal Frobenius
-  substitutions, and the q-difference operator Delta (``series``,
-  ``quantum``);
+* truncated Puiseux q-series, quantum integers and formal Frobenius
+  substitutions (``series``, ``quantum``);
 * the q-zeta / Hurwitz / Dirichlet-L operators at non-positive integers,
-  with three independent exact evaluation backends plus a floating-point
-  mode for general complex s (``operators``);
+  with three independent exact evaluation backends, one of them iterating
+  the q-difference operator Delta, plus a floating-point mode for general
+  complex s (``operators``);
 * Bernoulli-Carlitz fractions, q-Bernoulli polynomials, their Dirichlet
   character analogues, and identity verification (``carlitz``);
 * Dirichlet character enumeration with exact cyclotomic values
@@ -21,9 +21,9 @@ The ``qzeta`` console script exposes all of it on the command line.
 
 from .fields import CycRat, FieldMismatchError, Rat
 from .poly import Poly, cyclotomic, poly_gcd
-from .ratfunc import PoleError, RatFunc, eval_ratfunc, ratfunc_normalize
+from .ratfunc import PoleError, RatFunc
 from .series import TruncSeries, series_from_ratfunc
-from .quantum import BiRatFunc, QuantumInt, bi_eval, delta, frobenius, quantum_int
+from .quantum import QuantumInt, frobenius, quantum_int
 from .characters import (
     DirichletCharacter,
     UnitGroupStructure,
@@ -71,16 +71,11 @@ __all__ = [
     "cyclotomic",
     "RatFunc",
     "PoleError",
-    "ratfunc_normalize",
-    "eval_ratfunc",
     "TruncSeries",
     "series_from_ratfunc",
     "QuantumInt",
     "quantum_int",
     "frobenius",
-    "BiRatFunc",
-    "delta",
-    "bi_eval",
     "UnitGroupStructure",
     "DirichletCharacter",
     "unit_group",

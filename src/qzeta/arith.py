@@ -53,19 +53,6 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for f in range(3, isqrt(n) + 1, 2):
-        if n % f == 0:
-            return False
-    return True
-
-
 def primes_upto(n: int) -> list[int]:
     """Sieve of Eratosthenes, inclusive."""
     if n < 2:
@@ -144,5 +131,6 @@ def phi_factor_indices(k: int, b: int) -> list[int]:
     factorization is squarefree, so multiplicities are all one.
     """
     out = [d for d in divisors(k * b) if d // gcd(d, b) == k]
-    assert sum(euler_phi(d) for d in out) == b * euler_phi(k)
+    if sum(euler_phi(d) for d in out) != b * euler_phi(k):
+        raise ArithmeticError(f"Phi_{k}(x^{b}) factors do not add up to its degree")
     return out

@@ -14,7 +14,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 from .arith import divisors, phi_factor_indices
 from .characters import DirichletCharacter
@@ -25,8 +25,9 @@ from .operators import (
     apply_delta,
     apply_geometric,
     apply_series,
+    _chi_scalar,
 )
-from .poly import Poly, cyclotomic
+from .poly import Poly, cyclotomic, divide_out_cyclotomic
 from .quantum import quantum_value
 from .ratfunc import CycloFrac, RatFunc
 from .series import series_from_ratfunc
@@ -44,19 +45,8 @@ class BetaFraction:
     def factored_denominator(self) -> list[tuple[int, int]]:
         """The reduced denominator as cyclotomic factors (index, multiplicity),
         found by trial division by Phi_k for k <= n + 1."""
-        den = self.value.den
-        out = []
-        for k in range(1, self.n + 2):
-            mult = 0
-            phi_k = cyclotomic(k)
-            while True:
-                quo, rem = divmod(den, phi_k)
-                if not rem.is_zero():
-                    break
-                den = quo
-                mult += 1
-            if mult:
-                out.append((k, mult))
+        limits = dict.fromkeys(range(1, self.n + 2), inf)
+        den, out = divide_out_cyclotomic(self.value.den, limits)
         if not den.is_one():
             raise ArithmeticError(
                 f"denominator of beta_{self.n} has a non-cyclotomic factor {den}"
@@ -207,6 +197,21 @@ def _theorem_operand(n: int) -> Poly:
     return Poly([0, 1, -(n + 1)])
 
 
+def _check_relation(
+    name: str, lhs: RatFunc, spec: OperatorSpec, P: Poly, backend: str, series_order: int
+) -> CheckReport:
+    """Compare lhs with the operator value spec(P) computed by one backend:
+    exactly for geometric and delta, through ``series_order`` for series."""
+    if backend in _EXACT_BACKENDS:
+        ok = lhs == _EXACT_BACKENDS[backend](spec, P).value
+    elif backend == "series":
+        rhs_series = apply_series(spec, P, series_order)
+        ok = series_from_ratfunc(lhs, series_order, spec.branch) == rhs_series
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    return CheckReport(name, ok)
+
+
 def verify_theorem(n: int, backend: str = "geometric", series_order: int = 60) -> CheckReport:
     """Check beta_n = zeta_q(1-n)(q - (n+1) q^2) for n >= 2 with one backend.
 
@@ -215,18 +220,10 @@ def verify_theorem(n: int, backend: str = "geometric", series_order: int = 60) -
     """
     if n < 2:
         raise DomainError("the Euler-type relation is stated for n >= 2")
-    P = _theorem_operand(n)
+    name = f"beta_{n} = zeta_q({1 - n})(q - {n + 1}q^2) [{backend}]"
     spec = OperatorSpec.riemann(1 - n)
     lhs = beta(n).value
-    if backend in _EXACT_BACKENDS:
-        rhs = _EXACT_BACKENDS[backend](spec, P).value
-        ok = lhs == rhs
-    elif backend == "series":
-        rhs_series = apply_series(spec, P, series_order)
-        ok = series_from_ratfunc(lhs, series_order) == rhs_series
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return CheckReport(f"beta_{n} = zeta_q({1 - n})(q - {n + 1}q^2) [{backend}]", ok)
+    return _check_relation(name, lhs, spec, _theorem_operand(n), backend, series_order)
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +307,8 @@ def verify_hurwitz(
         )
     a = x.numerator
     lhs = RatFunc.from_poly(Poly.monomial(a, 1, "v" if x.denominator > 1 else "q")) * beta_poly(n, x).value
-    P = _theorem_operand(n)
     spec = OperatorSpec.hurwitz(1 - n, x)
-    if backend in _EXACT_BACKENDS:
-        rhs = _EXACT_BACKENDS[backend](spec, P).value
-        ok = lhs == rhs
-    elif backend == "series":
-        rhs_series = apply_series(spec, P, series_order)
-        ok = series_from_ratfunc(lhs, series_order, x.denominator) == rhs_series
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return CheckReport(name, ok)
+    return _check_relation(name, lhs, spec, _theorem_operand(n), backend, series_order)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +332,7 @@ def beta_chi(chi: DirichletCharacter, n: int) -> BetaChi:
     bracket_num = quantum_value(N, 1).num  # [N] as a polynomial in q
     total = CycloFrac.zero()
     for j in range(1, N):
-        cj = _scalar_value(chi, j)
+        cj = _chi_scalar(chi, j)
         if not cj:
             continue
         x = Fraction(j, N)
@@ -373,11 +361,6 @@ def beta_chi(chi: DirichletCharacter, n: int) -> BetaChi:
     return BetaChi(chi, n, total.reduce().to_ratfunc())
 
 
-def _scalar_value(chi: DirichletCharacter, j: int):
-    v = chi(j)
-    return v.rational() if chi.is_real() else v
-
-
 def verify_chi(chi: DirichletCharacter, n: int, backend: str = "geometric") -> CheckReport:
     """Check beta_{chi,n} = L_q(chi, 1-n)(q - (n+1) q^2) exactly (n >= 1).
 
@@ -395,14 +378,5 @@ def verify_chi(chi: DirichletCharacter, n: int, backend: str = "geometric") -> C
             name, None, note="s = 1 - n = 1 > 0: series/numeric mode only"
         )
     lhs = beta_chi(chi, n).value
-    P = _theorem_operand(n)
     spec = OperatorSpec.dirichlet_l(1 - n, chi)
-    if backend in _EXACT_BACKENDS:
-        rhs = _EXACT_BACKENDS[backend](spec, P).value
-        ok = lhs == rhs
-    elif backend == "series":
-        rhs_series = apply_series(spec, P, 40)
-        ok = series_from_ratfunc(lhs, 40) == rhs_series
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return CheckReport(name, ok)
+    return _check_relation(name, lhs, spec, _theorem_operand(n), backend, 40)

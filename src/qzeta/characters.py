@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, lcm
 
 from .arith import euler_phi, factorize, multiplicative_order
@@ -49,7 +48,8 @@ def unit_group(N: int) -> UnitGroupStructure:
         for (g, _), e in zip(gens, exps):
             r = r * pow(g, e, N) % N
         dlog[r % N] = exps
-    assert len(dlog) == euler_phi(N)
+    if len(dlog) != euler_phi(N):
+        raise ArithmeticError(f"generators of (Z/{N}Z)^x do not reach every unit")
     structure = UnitGroupStructure(N, tuple(gens), dlog)
     _unit_group_cache.setdefault(N, structure)
     return _unit_group_cache[N]
@@ -141,11 +141,6 @@ class DirichletCharacter:
             return CycRat.zero(self.order)
         return v
 
-    def value_rational(self, n: int) -> Fraction:
-        """The value as a plain rational; only for real characters."""
-        v = self(n)
-        return v.rational()
-
     def __eq__(self, other):
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
@@ -183,7 +178,8 @@ def character(N: int, index: int) -> DirichletCharacter:
     if not 0 <= index < len(chars):
         raise ValueError(f"character index must be in [0, {len(chars)}) for modulus {N}")
     chi = chars[index]
-    assert chi.index == index
+    if chi.index != index:
+        raise ArithmeticError(f"character enumeration out of index order at {index}")
     return chi
 
 

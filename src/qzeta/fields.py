@@ -23,21 +23,6 @@ class FieldMismatchError(TypeError):
     """Raised when two values from incompatible coefficient fields meet."""
 
 
-def as_fraction(x) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def _phi_coeffs(m: int) -> tuple[int, ...]:
-    return cyclotomic_int_coeffs(m)
-
-
 class CycRat:
     """An element of Q(zeta_m), stored as coordinates of 1, z, ..., z^(phi(m)-1).
 
@@ -79,10 +64,6 @@ class CycRat:
     @classmethod
     def one(cls, m: int = 1) -> "CycRat":
         return cls(m, 1)
-
-    @classmethod
-    def from_rational(cls, a, m: int = 1) -> "CycRat":
-        return cls(m, as_fraction(a))
 
     @classmethod
     def zeta_power(cls, m: int, k: int) -> "CycRat":
@@ -178,7 +159,7 @@ class CycRat:
         if self.is_rational():
             return CycRat(self.m, 1 / self.coords[0])
         # extended gcd of self (as a polynomial in z) and Phi_m over Q
-        r0 = [Fraction(c) for c in _phi_coeffs(self.m)]
+        r0 = [Fraction(c) for c in cyclotomic_int_coeffs(self.m)]
         r1 = list(self.coords)
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while any(r1):
@@ -315,7 +296,7 @@ def _poly_divmod_q(num, den):
 
 
 def _reduce_mod_phi(coords, m: int) -> list[Fraction]:
-    phi = [Fraction(c) for c in _phi_coeffs(m)]
+    phi = [Fraction(c) for c in cyclotomic_int_coeffs(m)]
     _, rem = _poly_divmod_q([Fraction(c) for c in coords], phi)
     dim = euler_phi(m)
     rem += [Fraction(0)] * (dim - len(rem))

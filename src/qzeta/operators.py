@@ -24,7 +24,7 @@ from math import comb, pi
 from .arith import primes_upto
 from .characters import DirichletCharacter
 from .poly import Poly, _is_zero_coeff
-from .quantum import quantum_value
+from .quantum import frobenius, quantum_value
 from .ratfunc import CycloFrac, RatFunc
 from .series import TruncSeries
 
@@ -162,7 +162,7 @@ def apply_geometric(spec: OperatorSpec, P: Poly) -> ApplyResult:
             term = _geometric_piece(spec, j + r, var)
             total = total + term.times_scalar(c_r * w)
     total = total.div_pow_one_minus_var_pow(b, m)
-    return ApplyResult(total.to_ratfunc(), b, "geometric")
+    return ApplyResult(total.reduce().to_ratfunc(), b, "geometric")
 
 
 def _geometric_piece(spec: OperatorSpec, e: int, var: str) -> CycloFrac:
@@ -268,7 +268,7 @@ def apply_delta(spec: OperatorSpec, P: Poly) -> ApplyResult:
         if _is_zero_coeff(c_r):
             continue
         total = total + kern.eval_at(r).times_scalar(c_r)
-    return ApplyResult(total.to_ratfunc(), spec.branch, "delta")
+    return ApplyResult(total.reduce().to_ratfunc(), spec.branch, "delta")
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +375,11 @@ def euler_product_apply(s: int, P: Poly, prime_bound: int, order: int) -> TruncS
     result = TruncSeries.from_poly(P, order)
     for p in primes_upto(prime_bound):
         acc = list(result.coeffs)
+        monos = [(i, c) for i, c in enumerate(result.coeffs) if not _is_zero_coeff(c)]
         n = p
         while n <= order:
             powm = _int_pow_trunc(_bracket_series_ints(n, 1, order), m, order)
-            for i, c in enumerate(result.coeffs):
-                if _is_zero_coeff(c) or i * n > order:
-                    continue
-                base = i * n
-                for t in range(0, order - base + 1):
-                    pv = powm[t]
-                    if pv:
-                        acc[base + t] = acc[base + t] + c * pv
+            _accumulate(acc, powm, monos, n, order)
             n *= p
         result = TruncSeries(acc, order, 1)
     return result
@@ -394,16 +388,6 @@ def euler_product_apply(s: int, P: Poly, prime_bound: int, order: int) -> TruncS
 # ---------------------------------------------------------------------------
 # identity checks
 # ---------------------------------------------------------------------------
-
-
-def _rebase_ratfunc(f: RatFunc, k: int) -> RatFunc:
-    """Scale all exponents by k (re-expression on a k-times finer branch,
-    or equivalently F_k); preserves the canonical form."""
-    if k == 1:
-        return f
-    return RatFunc(
-        f.num.scale_exponents(k), f.den.scale_exponents(k), _canonical=True
-    )
 
 
 def check_commute(m: int, n: int, s: int, r_max: int) -> CheckReport:
@@ -442,10 +426,11 @@ def check_distribution(N: int, x, s: int, r: int) -> CheckReport:
         inner_spec = OperatorSpec.hurwitz(s, (x + j) / N)
         inner = apply_geometric(inner_spec, P).value
         # (x+j)/N may reduce; re-express on the common branch B*N before F_N
-        inner = _rebase_ratfunc(inner, inner_branch // inner_spec.branch)
-        pushed = _rebase_ratfunc(inner, N)
+        # (scaling exponents by k re-expresses on a k-times finer branch)
+        inner = frobenius(inner, inner_branch // inner_spec.branch)
+        pushed = frobenius(inner, N)
         lhs = lhs + RatFunc.from_poly(bracket_t) * pushed
-    rhs = _rebase_ratfunc(apply_geometric(OperatorSpec.hurwitz(s, x), P).value, N)
+    rhs = frobenius(apply_geometric(OperatorSpec.hurwitz(s, x), P).value, N)
     ok = lhs == rhs
     return CheckReport(f"distribution N={N} x={x} s={s} r={r}", ok, [(f"r={r}", ok)])
 
@@ -471,8 +456,8 @@ def check_chi_decomposition(chi: DirichletCharacter, s: int, r: int) -> CheckRep
             continue
         # gcd(j, N) = 1 here, so j/N is already in lowest terms: branch N
         inner = apply_geometric(OperatorSpec.hurwitz(s, Fraction(j, N)), P).value
-        rhs = rhs + RatFunc.from_poly(bracket_t * Poly([cj], "v")) * _rebase_ratfunc(inner, N)
-    lhs = _rebase_ratfunc(apply_geometric(OperatorSpec.dirichlet_l(s, chi), P).value, N)
+        rhs = rhs + RatFunc.from_poly(bracket_t * Poly([cj], "v")) * frobenius(inner, N)
+    lhs = frobenius(apply_geometric(OperatorSpec.dirichlet_l(s, chi), P).value, N)
     ok = lhs == rhs
     return CheckReport(
         f"L-decomposition chi mod {N} #{chi.index} s={s} r={r}", ok, [(f"r={r}", ok)]

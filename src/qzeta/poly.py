@@ -1,11 +1,10 @@
 """Dense univariate polynomials over an exact coefficient field.
 
-Coefficients may be Python ints / Fractions (the rational field), CycRat
-values, or RatFunc values (used for the two-variable layer).  All
-polynomials arising here are dense in practice, so a plain coefficient
-list, lowest degree first, is the representation of choice.  The variable
-tag is symbolic only: it names the indeterminate for rendering and never
-affects arithmetic.
+Coefficients are Python ints / Fractions (the rational field) or CycRat
+values.  All polynomials arising here are dense in practice, so a plain
+coefficient list, lowest degree first, is the representation of choice.
+The variable tag is symbolic only: it names the indeterminate for
+rendering and never affects arithmetic.
 """
 from __future__ import annotations
 
@@ -22,15 +21,11 @@ def _is_rational_coeff(c) -> bool:
 
 
 def _field_key(c):
-    """Classify a coefficient: 'rat', ('cyc', m) or 'ratfunc'."""
+    """Classify a coefficient: 'rat' or ('cyc', m)."""
     if _is_rational_coeff(c):
         return "rat"
     if isinstance(c, CycRat):
         return "rat" if c.m == 1 else ("cyc", c.m)
-    from .ratfunc import RatFunc
-
-    if isinstance(c, RatFunc):
-        return "ratfunc"
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
@@ -140,7 +135,7 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            if isinstance(other, (int, Fraction, CycRat)) or _is_scalar_like(other):
+            if isinstance(other, (int, Fraction, CycRat)):
                 return self.scale(other)
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -248,9 +243,6 @@ class Poly:
             return self
         return Poly([0] * k + list(self.coeffs), self.var)
 
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:], self.var)
-
     def __call__(self, x):
         """Evaluate by Horner's rule; x may be any ring element, complex, or mpc."""
         result = None
@@ -274,7 +266,10 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        # a constant compares equal to its scalar, so it hashes as one
+        if len(self.coeffs) <= 1:
+            return hash(self.constant_term())
+        return hash(self.coeffs)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -302,7 +297,7 @@ class Poly:
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction, CycRat)) or _is_scalar_like(other):
+        if isinstance(other, (int, Fraction, CycRat)):
             return Poly([other], self.var)
         return NotImplemented
 
@@ -335,12 +330,6 @@ def _render_terms(coeffs, var: str) -> str:
         else:
             parts.append(piece)
     return " ".join(parts) if parts else "0"
-
-
-def _is_scalar_like(c) -> bool:
-    from .ratfunc import RatFunc
-
-    return isinstance(c, RatFunc)
 
 
 def _is_zero_coeff(c) -> bool:
@@ -378,7 +367,7 @@ def _coeff_div(a, b):
 
 
 def _unify_coeffs(cs: list) -> list:
-    """Promote mixed rational/CycRat/RatFunc coefficient lists to one field."""
+    """Promote mixed rational/CycRat coefficient lists to one field."""
     target = None
     for c in cs:
         key = _field_key(c)
@@ -390,10 +379,6 @@ def _unify_coeffs(cs: list) -> list:
             raise FieldMismatchError(f"mixed coefficient fields {target} and {key}")
     if target is None:
         return cs
-    if target == "ratfunc":
-        from .ratfunc import RatFunc
-
-        return [c if isinstance(c, RatFunc) else RatFunc.constant(c) for c in cs]
     m = target[1]
     return [
         c if isinstance(c, CycRat) and c.m == m else CycRat(m, _to_fraction(c))
@@ -530,3 +515,24 @@ def cyclotomic(n: int, var: str = "q") -> Poly:
         with _cyclo_poly_lock:
             _cyclo_poly_cache.setdefault(key, p)
     return _cyclo_poly_cache[key]
+
+
+def divide_out_cyclotomic(p: Poly, limits) -> tuple[Poly, list[tuple[int, int]]]:
+    """Trial division of p by Phi_d, for each index d of ``limits`` in
+    ascending order, as long as it divides and at most limits[d] times.
+
+    Returns the quotient and the (d, multiplicity) pairs divided out.
+    """
+    factors = []
+    for d in sorted(limits):
+        phi_d = cyclotomic(d, p.var)
+        mult = 0
+        while mult < limits[d]:
+            quo, rem = divmod(p, phi_d)
+            if not rem.is_zero():
+                break
+            p = quo
+            mult += 1
+        if mult:
+            factors.append((d, mult))
+    return p, factors

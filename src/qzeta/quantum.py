@@ -1,12 +1,9 @@
-"""Quantum integers, formal Frobenius substitutions, and the q-difference
-operator Delta.
+"""Quantum integers and formal Frobenius substitutions.
 
 The quantum integer [y] = (q^y - 1)/(q - 1) is kept as a reduced rational
-function in v = q^(1/b), so rational indices stay exact.  Delta acts on
-rational functions of q and q^r through a two-variable representation:
-the outer variable w stands for q^(r/b), and the shift r -> r+1 is the
-exact monomial map w^k -> v^k w^k, making Delta closed on a decidable
-representation.  It satisfies Delta(q^{nr}) = [n] q^{nr}.
+function in v = q^(1/b), so rational indices stay exact.  The q-difference
+operator Delta, with Delta(q^{nr}) = [n] q^{nr}, is the kernel of
+``operators.apply_delta``.
 """
 from __future__ import annotations
 
@@ -14,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .poly import Poly, _coeff_inv, poly_gcd
-from .ratfunc import PoleError, RatFunc
+from .poly import Poly
+from .ratfunc import RatFunc
 from .series import TruncSeries
 
 
@@ -110,171 +107,3 @@ def _scale_poly_exponents(p: Poly, n: Fraction) -> Poly:
     for e, c in out.items():
         coeffs[e] = c
     return Poly(coeffs, p.var)
-
-
-class BiRatFunc:
-    """Rational function in an outer variable w over the field of rational
-    functions in v, with q = v^branch and w standing for q^(r/branch).
-
-    Canonical form: outer numerator and denominator coprime over the
-    coefficient field, outer denominator monic.
-    """
-
-    __slots__ = ("num", "den", "branch")
-
-    def __init__(self, num: Poly, den: Poly | None = None, branch: int = 1, *, _canonical=False):
-        num = _as_outer_poly(num)
-        den = Poly.one("w") if den is None else _as_outer_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("outer denominator is zero")
-        if not _canonical:
-            if num.is_zero():
-                den = Poly.one("w")
-            else:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-                if not den.is_monic():
-                    inv = _coeff_inv(den.leading())
-                    num = num.scale(inv)
-                    den = den.scale(inv)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "branch", branch)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiRatFunc is immutable")
-
-    @classmethod
-    def monomial(cls, k: int, branch: int = 1) -> "BiRatFunc":
-        """w^k, i.e. the function q^(kr/branch) of r."""
-        return cls(Poly.monomial(k, RatFunc.one("v"), "w"), branch=branch, _canonical=True)
-
-    @classmethod
-    def geometric(cls, a: int, M: int, branch: int = 1) -> "BiRatFunc":
-        """w^a / (1 - w^M): the sum of q^((kM+a) r / branch) over k >= 0."""
-        return cls(
-            Poly.monomial(a, RatFunc.one("v"), "w"),
-            Poly.one("w") - Poly.monomial(M, RatFunc.one("v"), "w"),
-            branch,
-        )
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def shift_r(self) -> "BiRatFunc":
-        """Substitute r -> r + 1, i.e. the exponent-wise map w^k -> v^k w^k."""
-        return BiRatFunc(
-            _shift_outer(self.num), _shift_outer(self.den), self.branch
-        )
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, BiRatFunc):
-            if other.branch != self.branch:
-                raise ValueError("BiRatFunc branches differ")
-            return other
-        if isinstance(other, (int, Fraction, RatFunc)):
-            c = other if isinstance(other, RatFunc) else RatFunc.constant(other, "v")
-            return BiRatFunc(Poly([c], "w"), branch=self.branch, _canonical=True)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        num = self.num * other.den + other.num * self.den
-        return BiRatFunc(num, self.den * other.den, self.branch)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiRatFunc(-self.num, self.den, self.branch, _canonical=True)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BiRatFunc(self.num * other.num, self.den * other.den, self.branch)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero BiRatFunc")
-        return BiRatFunc(self.num * other.den, self.den * other.num, self.branch)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiRatFunc):
-            return NotImplemented
-        if other.branch != self.branch:
-            return False
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"BiRatFunc(num={self.num!r}, den={self.den!r}, branch={self.branch})"
-
-    def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-
-def _as_outer_poly(p) -> Poly:
-    if isinstance(p, Poly):
-        if p.field_key() != "ratfunc":
-            return Poly([RatFunc.constant(c, "v") for c in p.coeffs], "w")
-        return p
-    raise TypeError("expected an outer polynomial in w")
-
-
-def _shift_outer(p: Poly) -> Poly:
-    v = RatFunc.variable("v")
-    return Poly(
-        [c * v**k for k, c in enumerate(p.coeffs)],
-        p.var,
-    )
-
-
-def delta(f: BiRatFunc) -> BiRatFunc:
-    """The q-difference Delta(f) = (f(r+1) - f(r)) / (q - 1).
-
-    Satisfies the eigen-relation Delta(q^{nr}) = [n] q^{nr}:
-
-    >>> w = BiRatFunc.monomial(1)
-    >>> delta(w) == w
-    True
-    """
-    b = f.branch
-    qm1 = RatFunc.from_poly(Poly([-1] + [0] * (b - 1) + [1], "v"))
-    shifted = f.shift_r()
-    num = shifted.num * f.den - f.num * shifted.den
-    den = f.den * shifted.den * Poly([qm1], "w")
-    return BiRatFunc(num, den, b)
-
-
-def bi_eval(f: BiRatFunc, r: int) -> RatFunc:
-    """Evaluate at integer r >= 1 by substituting w = q^(r/branch) = v^r."""
-    if r < 1:
-        raise ValueError("evaluation point r must be a positive integer")
-    point = RatFunc.from_poly(Poly.monomial(r, 1, "v"))
-    den_val = f.den(point)
-    if not den_val:
-        raise PoleError(f"outer pole at w = v^{r}")
-    num_val = f.num(point)
-    if isinstance(num_val, (int, Fraction)):
-        num_val = RatFunc.constant(num_val, "v")
-    return num_val / den_val

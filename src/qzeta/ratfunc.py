@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .arith import divisors
 from .fields import CycRat
-from .poly import Poly, cyclotomic, poly_gcd
+from .poly import Poly, _coeff_inv, cyclotomic, divide_out_cyclotomic, poly_gcd
 
 
 class PoleError(ZeroDivisionError):
@@ -43,8 +43,6 @@ class RatFunc:
                     num = num.exact_div(g)
                     den = den.exact_div(g)
                 if not den.is_monic():
-                    from .poly import _coeff_inv
-
                     inv = _coeff_inv(den.leading())
                     num = num.scale(inv)
                     den = den.scale(inv)
@@ -80,9 +78,6 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
 
     @property
     def var(self) -> str:
@@ -157,8 +152,6 @@ class RatFunc:
         num = n1 * n2
         den = d1 * d2
         if not den.is_monic():
-            from .poly import _coeff_inv
-
             inv = _coeff_inv(den.leading())
             num = num.scale(inv)
             den = den.scale(inv)
@@ -225,6 +218,10 @@ class RatFunc:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
+        # a polynomial value compares equal to its numerator (a constant to
+        # its scalar), so it hashes as that
+        if self.den.is_one():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):
@@ -245,16 +242,6 @@ def _value_is_zero(v) -> bool:
     if isinstance(v, (float, complex)):
         return v == 0
     return not v
-
-
-def ratfunc_normalize(num: Poly, den: Poly) -> RatFunc:
-    """Canonical reduced form of num/den; idempotent on canonical input."""
-    return RatFunc(num, den)
-
-
-def eval_ratfunc(f: RatFunc, p):
-    """Evaluate the reduced form of f at p; PoleError at a true pole."""
-    return f(p)
 
 
 class CycloFrac:
@@ -338,27 +325,17 @@ class CycloFrac:
         """Cancel every cyclotomic factor that divides the numerator."""
         if self.num.is_zero():
             return CycloFrac(self.num)
-        num = self.num
-        phi = Counter()
-        for d in sorted(self.phi):
-            mult = self.phi[d]
-            phi_d = cyclotomic(d, num.var)
-            while mult > 0:
-                quo, rem = divmod(num, phi_d)
-                if not rem.is_zero():
-                    break
-                num = quo
-                mult -= 1
-            if mult:
-                phi[d] = mult
-        return CycloFrac(num, phi)
+        num, cancelled = divide_out_cyclotomic(self.num, self.phi)
+        return CycloFrac(num, self.phi - Counter(dict(cancelled)))
 
     def to_ratfunc(self) -> RatFunc:
-        red = self.reduce()
-        den = _phi_product(red.phi, red.num.var)
-        # cyclotomic products are monic; over Q the trial division above is
-        # a complete gcd, so the pair is canonical as constructed
-        return RatFunc(red.num, den, _canonical=red.num.field_key() == "rat")
+        """The RatFunc of a CycloFrac that reduce() returned.
+
+        Cyclotomic products are monic, and over Q the trial division in
+        reduce() is a complete gcd, so the pair is canonical as constructed.
+        """
+        den = _phi_product(self.phi, self.num.var)
+        return RatFunc(self.num, den, _canonical=self.num.field_key() == "rat")
 
     def __repr__(self):
         return f"CycloFrac({self.num!r}, {dict(self.phi)})"

@@ -13,12 +13,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, pi
+from math import gcd, inf, pi
 
 import mpmath as mp
 import numpy as np
 
-from .poly import Poly, cyclotomic
+from .poly import Poly, divide_out_cyclotomic
 from .ratfunc import RatFunc
 
 
@@ -242,22 +242,6 @@ def classify_roots(
     return counts
 
 
-def _strip_cyclotomic(num: Poly, max_index: int) -> tuple[Poly, list[tuple[int, int]]]:
-    factors = []
-    for d in range(1, max_index + 1):
-        phi_d = cyclotomic(d)
-        mult = 0
-        while True:
-            quo, rem = divmod(num, phi_d)
-            if not rem.is_zero():
-                break
-            num = quo
-            mult += 1
-        if mult:
-            factors.append((d, mult))
-    return num, factors
-
-
 def _residuals(coeffs: list[int], roots: list[complex]) -> list[float]:
     """|p(z)| normalized by max|coeff| * max(1, |z|)^deg, in high precision."""
     deg = len(coeffs) - 1
@@ -309,7 +293,8 @@ def beta_root_survey(
                 RootReport(n, max(degree, 0), [], [], classify_roots([]), tol_circle, tol_real)
             )
             continue
-        residual_poly, cyclo_factors = _strip_cyclotomic(stripped, n + 1)
+        limits = dict.fromkeys(range(1, n + 2), inf)
+        residual_poly, cyclo_factors = divide_out_cyclotomic(stripped, limits)
         roots: list[complex] = []
         for d, mult in cyclo_factors:
             unity = [

@@ -138,11 +138,6 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs[: order + 1], order, self.branch)
-
     def frobenius(self, n) -> "TruncSeries":
         """Substitute q -> q^n for positive rational n = c/d.
 

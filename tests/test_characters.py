@@ -1,4 +1,5 @@
 """Dirichlet character enumeration and structure."""
+import importlib
 from math import gcd
 
 import pytest
@@ -125,3 +126,23 @@ def test_to_json_shape():
     doc = character(4, 1).to_json()
     assert doc["modulus"] == 4 and doc["order"] == 2 and doc["primitive"] is True
     assert {"n": 3, "value": "-1"} in doc["values"]
+
+
+@pytest.mark.parametrize("check", ["phi_factor_indices", "unit_group", "character"])
+def test_broken_invariants_raise_arithmetic_error(monkeypatch, check):
+    # explicit checks, not asserts: they must also hold under python -O
+    arith = importlib.import_module("qzeta.arith")
+    chars = importlib.import_module("qzeta.characters")  # not the function
+    if check == "phi_factor_indices":
+        monkeypatch.setattr(arith, "euler_phi", lambda n: n)
+        with pytest.raises(ArithmeticError):
+            arith.phi_factor_indices(3, 2)
+    elif check == "unit_group":
+        monkeypatch.setattr(chars, "euler_phi", lambda n: n)
+        monkeypatch.setattr(chars, "_unit_group_cache", {})
+        with pytest.raises(ArithmeticError):
+            unit_group(7)
+    else:
+        monkeypatch.setattr(chars.DirichletCharacter, "index", property(lambda self: -1))
+        with pytest.raises(ArithmeticError):
+            character(5, 1)

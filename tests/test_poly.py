@@ -105,3 +105,16 @@ def test_str_round_shape():
 def test_pow():
     assert Poly([1, 1]) ** 3 == Poly([1, 3, 3, 1])
     assert Poly([1, 1]) ** 0 == Poly.one()
+
+
+def test_constants_hash_as_their_scalar():
+    # equal values must hash equal, so a constant and its scalar are one key
+    from qzeta.ratfunc import RatFunc
+
+    assert len({Poly([3]), 3}) == 1
+    assert len({RatFunc.constant(3), 3}) == 1
+    assert hash(Poly.zero()) == hash(0)
+    assert hash(Poly([Fraction(1, 2)])) == hash(Fraction(1, 2))
+    assert hash(Poly([CycRat(4, 3)])) == hash(3)
+    p = Poly([0, 1, 1])
+    assert RatFunc.from_poly(p) == p and hash(RatFunc.from_poly(p)) == hash(p)

@@ -1,19 +1,13 @@
-"""Quantum integers, Frobenius, and the q-difference operator."""
+"""Quantum integers, Frobenius, and the q-difference operator Delta."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qzeta.operators import OperatorSpec, _DeltaKernel, apply_delta
 from qzeta.poly import Poly
-from qzeta.quantum import (
-    BiRatFunc,
-    bi_eval,
-    delta,
-    frobenius,
-    quantum_int,
-    quantum_value,
-)
+from qzeta.quantum import frobenius, quantum_int, quantum_value
 from qzeta.ratfunc import RatFunc
 from qzeta.series import TruncSeries, series_from_ratfunc
 
@@ -84,74 +78,67 @@ def test_frobenius_on_series():
     assert frobenius(s, 2) == TruncSeries([0, 0, 1, 0, 1], 4)
 
 
-# -- Delta ------------------------------------------------------------------
+# -- Delta: the kernel of apply_delta ---------------------------------------
+#
+# _DeltaKernel({a: 1}, M) stands for f(r) = sum_t q^((a+tM) r); each step
+# applies Delta(q^(nr)) = [n] q^(nr), and eval_at(r) gives the value at r.
+
+
+def delta_value(a, M, k, r):
+    kern = _DeltaKernel({a: 1}, M, 1, "q")
+    for _ in range(k):
+        kern.step()
+    return kern.eval_at(r).reduce().to_ratfunc()
+
+
+def bracket_power_series(exponents, k, r, order):
+    """sum_n [n]^k q^(nr) over the given n, truncated at order."""
+    coeffs = [Fraction(0)] * (order + 1)
+    for n in exponents:
+        if n * r > order:
+            continue
+        for e, c in enumerate((Poly([1] * n) ** k).coeffs):
+            if e + n * r <= order:
+                coeffs[e + n * r] += c
+    return TruncSeries(coeffs, order)
 
 
 def test_delta_eigenrelation_small():
-    w = BiRatFunc.monomial(1)
-    assert delta(w) == w  # [1] = 1
-    w2 = BiRatFunc.monomial(2)
-    two_bracket = RatFunc(Poly([1, 1], "v"))
-    assert delta(w2) == w2 * two_bracket
+    # with M beyond the order only q^(ar) counts: Delta^k q^r = q^r since
+    # [1] = 1, and Delta q^(2r) = (1 + q) q^(2r)
+    order = 40
+    for k in range(4):
+        got = series_from_ratfunc(delta_value(1, order + 1, k, 1), order)
+        assert got == TruncSeries([0, 1], order)
+    got = series_from_ratfunc(delta_value(2, order + 1, 1, 1), order)
+    assert got == TruncSeries([0, 0, 1, 1], order)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_delta_eigenrelation(n):
-    wn = BiRatFunc.monomial(n)
-    bracket = RatFunc(Poly([1] * n, "v"))
-    assert delta(wn) == wn * bracket
+    # kernel {n: 1} of period M after k steps, at r: sum_t [n+tM]^k q^((n+tM) r)
+    order = 40
+    for M in (1, n + 1):
+        for k in (1, 2):
+            for r in (1, 2):
+                got = series_from_ratfunc(delta_value(n, M, k, r), order)
+                terms = range(n, order + 1, M)
+                assert got == bracket_power_series(terms, k, r, order), (M, k, r)
 
 
 def test_delta_geometric_by_hand():
-    f = BiRatFunc.geometric(1, 1)  # w/(1-w)
-    df = delta(f)
-    v = RatFunc.variable("v")
-    expect = BiRatFunc(
-        Poly([RatFunc.zero("v"), RatFunc.one("v")], "w"),
-        Poly([RatFunc.one("v"), -(RatFunc.one("v") + v), v], "w"),
-    )  # w / ((1-w)(1-vw))
-    assert df == expect
-
-
-def test_bi_eval_examples():
-    f = BiRatFunc.geometric(1, 1)
-    assert bi_eval(f, 1) == RatFunc(Poly([0, 1], "v"), Poly([1, -1], "v"))
-    assert bi_eval(BiRatFunc.monomial(1), 3) == RatFunc(Poly([0, 0, 0, 1], "v"))
-    df = delta(f)
-    assert bi_eval(df, 1) == RatFunc(
-        Poly([0, 1], "v"), Poly([1, -1], "v") * Poly([1, 0, -1], "v")
-    )
-
-
-def test_bi_eval_pole():
-    # f = w/(w - v): at r = 1 the outer denominator vanishes
-    v = RatFunc.variable("v")
-    f = BiRatFunc(
-        Poly([RatFunc.zero("v"), RatFunc.one("v")], "w"),
-        Poly([-v, RatFunc.one("v")], "w"),
-    )
-    from qzeta.ratfunc import PoleError
-
-    with pytest.raises(PoleError):
-        bi_eval(f, 1)
+    # w/(1-w) at r = 1 is q/(1-q); one Delta step gives q/((1-q)(1-q^2))
+    assert delta_value(1, 1, 0, 1) == RatFunc(Poly([0, 1]), Poly([1, -1]))
+    expect = RatFunc(Poly([0, 1]), Poly([1, -1]) * Poly([1, 0, -1]))
+    assert delta_value(1, 1, 1, 1) == expect
+    assert apply_delta(OperatorSpec.riemann(-1), Poly([0, 1])).value == expect
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_delta_iterates_match_term_series(k, r):
-    # bi_eval(Delta^k (w/(1-w)), r) must expand to sum_n [n]^k q^(nr)
-    f = BiRatFunc.geometric(1, 1)
-    for _ in range(k):
-        f = delta(f)
-    value = bi_eval(f, r)
+    # apply_delta(zeta_q(-k), q^r) must expand to sum_n [n]^k q^(nr)
     order = 40
+    value = apply_delta(OperatorSpec.riemann(-k), Poly.monomial(r)).value
     got = series_from_ratfunc(value, order)
-    coeffs = [Fraction(0)] * (order + 1)
-    n = 1
-    while n * r <= order:
-        bracket_pow = Poly([1] * n) ** k
-        for e, c in enumerate(bracket_pow.coeffs):
-            if e + n * r <= order:
-                coeffs[e + n * r] += Fraction(c)
-        n += 1
-    assert got == TruncSeries(coeffs, order)
+    assert got == bracket_power_series(range(1, order + 1), k, r, order)

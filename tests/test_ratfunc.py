@@ -6,25 +6,25 @@ from hypothesis import given
 
 from conftest import ratfuncs
 from qzeta.poly import Poly, cyclotomic, poly_gcd
-from qzeta.ratfunc import CycloFrac, PoleError, RatFunc, eval_ratfunc, ratfunc_normalize
+from qzeta.ratfunc import CycloFrac, PoleError, RatFunc
 
 
 def test_normalize_cancellation():
-    assert ratfunc_normalize(Poly([-1, 0, 1]), Poly([1, 1])) == RatFunc(Poly([-1, 1]))
-    assert ratfunc_normalize(Poly([-1, 1]), Poly([-1, 0, 1])) == RatFunc(
+    assert RatFunc(Poly([-1, 0, 1]), Poly([1, 1])) == RatFunc(Poly([-1, 1]))
+    assert RatFunc(Poly([-1, 1]), Poly([-1, 0, 1])) == RatFunc(
         Poly([1]), Poly([1, 1])
     )
 
 
 def test_normalize_monic_scaling():
-    f = ratfunc_normalize(Poly([0, 2]), Poly([2]))
+    f = RatFunc(Poly([0, 2]), Poly([2]))
     assert f == RatFunc(Poly([0, 1]))
     assert f.den.is_one()
 
 
 def test_normalize_idempotent():
-    f = ratfunc_normalize(Poly([-1, 0, 1]), Poly([1, 1]))
-    g = ratfunc_normalize(f.num, f.den)
+    f = RatFunc(Poly([-1, 0, 1]), Poly([1, 1]))
+    g = RatFunc(f.num, f.den)
     assert g.num == f.num and g.den == f.den
 
 
@@ -36,13 +36,13 @@ def test_zero_denominator_raises():
 def test_eval_matches_bernoulli_oracle():
     # -1/(q+1) at q=1 is -1/2, the first Bernoulli number
     f = RatFunc(Poly([-1]), Poly([1, 1]))
-    assert eval_ratfunc(f, 1) == Fraction(-1, 2)
+    assert f(1) == Fraction(-1, 2)
 
 
 def test_eval_trivial_and_pole():
-    assert eval_ratfunc(RatFunc(Poly([0, 1])), 0) == 0
+    assert RatFunc(Poly([0, 1]))(0) == 0
     with pytest.raises(PoleError):
-        eval_ratfunc(RatFunc(Poly([1]), Poly([-1, 1])), 1)
+        RatFunc(Poly([1]), Poly([-1, 1]))(1)
 
 
 def test_pole_distinguished_from_common_zero():
@@ -102,19 +102,29 @@ def test_json():
 
 def test_cyclofrac_geometric_series():
     cf = CycloFrac(Poly([0, 1])).div_one_minus(1)  # q/(1-q)
-    assert cf.to_ratfunc() == RatFunc(Poly([0, 1]), Poly([1, -1]))
+    assert cf.reduce().to_ratfunc() == RatFunc(Poly([0, 1]), Poly([1, -1]))
 
 
 def test_cyclofrac_reduces_to_canonical():
     # q(1-q)^3 / ((1-q)(1-q^2)(1-q^3)) = q / (Phi_2 Phi_3)
     num = Poly([0, 1]) * Poly([1, -1]) ** 3
     cf = CycloFrac(num).div_one_minus(1).div_one_minus(2).div_one_minus(3)
-    assert cf.to_ratfunc() == RatFunc(Poly([0, 1]), cyclotomic(2) * cyclotomic(3))
+    red = cf.reduce()
+    assert dict(red.phi) == {2: 1, 3: 1}
+    f = red.to_ratfunc()
+    assert f.num == Poly([0, 1]) and f.den == cyclotomic(2) * cyclotomic(3)
 
 
 def test_cyclofrac_addition_takes_lcm():
     a = CycloFrac(Poly([1])).div_one_minus(2)
     b = CycloFrac(Poly([1])).div_one_minus(4)
-    c = (a + b).to_ratfunc()
+    c = (a + b).reduce().to_ratfunc()
     expect = RatFunc(Poly([1]), Poly([1, 0, -1])) + RatFunc(Poly([1]), Poly([1, 0, 0, 0, -1]))
     assert c == expect
+
+
+def test_poly_and_ratfunc_mix_to_ratfunc():
+    f = RatFunc(Poly([1]), Poly([1, 1]))
+    q = Poly([0, 1])
+    assert isinstance(q * f, RatFunc) and q * f == RatFunc(q, Poly([1, 1]))
+    assert isinstance(q + f, RatFunc) and q + f == RatFunc(Poly([1, 1, 1]), Poly([1, 1]))
