@@ -1,12 +1,12 @@
 """Numerical root finding and classification for Bernoulli-Carlitz
 numerators.
 
-The solver is a simultaneous Aberth-Ehrlich iteration run in extended
-precision (mpmath, well beyond 80 effective bits), warm-started from a
-double-precision sweep of the same iteration.  Exact preprocessing strips
-the monomial root at 0 and known cyclotomic content before anything
-floating-point happens, so exactly-known unit-circle roots never burden
-the solve.  Everything is deterministic given (polynomial, tol).
+The solver is a simultaneous Aberth-Ehrlich iteration whose iterates and
+polynomial values are held in fixed-point integers of well beyond 80
+bits, warm-started from a double-precision sweep of the same iteration.
+Exact preprocessing strips the monomial root at 0 and known cyclotomic
+content before anything floating-point happens, so exactly-known
+unit-circle roots never burden the solve.  Everything is deterministic given (polynomial, tol).
 """
 from __future__ import annotations
 
@@ -98,10 +98,8 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 400) -> list[complex
         roots.append(complex(Fraction(-coeffs[0], coeffs[1])))
         return roots
     dps = max(40, int(-mp.log10(tol)) + 25)
-    with mp.workdps(dps):
-        start = _warm_start(coeffs)
-        mp_roots = _aberth_mp(coeffs, start, tol, max_iter)
-    roots.extend(complex(z) for z in mp_roots)
+    start = _warm_start(coeffs)
+    roots.extend(_aberth_fixed(coeffs, start, tol, max_iter, mp.libmp.dps_to_prec(dps)))
     return roots
 
 
@@ -164,50 +162,88 @@ def _warm_start(coeffs: list[int]) -> list[complex]:
     return list(z)
 
 
-def _aberth_mp(coeffs: list[int], start, tol: float, max_iter: int):
+def _aberth_fixed(coeffs: list[int], start, tol: float, max_iter: int, bits: int):
+    """Aberth sweeps with the iterates held in fixed point, scaled by 2^bits.
+
+    Only p(z) must be exact to many more bits than a double holds: it
+    decides where the iteration stops.  It and p'(z) are evaluated in
+    integer arithmetic; the Newton ratio, the Aberth sum and the correction
+    need relative accuracy only, so they are doubles.  The sum takes each
+    difference z_i - z_j from a double-double split of the iterates, which
+    keeps it accurate for clustered roots.
+    """
     deg = len(coeffs) - 1
-    cs = [mp.mpf(c) for c in coeffs]
-    dcs = [i * c for i, c in enumerate(cs)][1:]
-    z = [mp.mpc(w) for w in start]
-    tol_mp = mp.mpf(tol)
-    freeze = tol_mp / 8  # roots this settled stop moving but keep repelling
+    one = 1 << bits
+    zr = [int(Fraction(w.real) * one) for w in start]
+    zi = [int(Fraction(w.imag) * one) for w in start]
+    freeze = tol / 8  # roots this settled stop moving but keep repelling
     done = [False] * deg
     last_update = None
     for _ in range(max_iter):
-        max_update = mp.mpf(0)
-        new_z = list(z)
+        (re_hi, re_lo), (im_hi, im_lo) = _split(zr, one), _split(zi, one)
+        z_hi = re_hi + 1j * im_hi
+        z_lo = re_lo + 1j * im_lo
+        with np.errstate(all="ignore"):
+            diffs = (z_hi[:, None] - z_hi[None, :]) + (z_lo[:, None] - z_lo[None, :])
+            inv = np.where(diffs != 0, 1 / diffs, 0)
+        sums = inv.sum(axis=1)
+        max_update = 0.0
+        steps = []
         for i in range(deg):
             if done[i]:
                 continue
-            zi = z[i]
-            pz = _horner(cs, zi)
-            dz = _horner(dcs, zi)
-            if dz == 0:
-                dz = mp.mpf(1)
-            w = pz / dz
-            s = mp.mpc(0)
-            for j in range(deg):
-                if j != i:
-                    d = zi - z[j]
-                    if d != 0:
-                        s += 1 / d
-            denom = 1 - w * s
-            corr = w / denom if denom != 0 else w
-            new_z[i] = zi - corr
+            pr, pi_, dr, di = _horner_fixed(coeffs, zr[i], zi[i], bits)
+            den = dr * dr + di * di
+            try:
+                if den == 0:  # p'(z) = 0: take a plain step w = p(z)
+                    w = complex(pr / one, pi_ / one)
+                else:
+                    w = complex((pr * dr + pi_ * di) / den, (pi_ * dr - pr * di) / den)
+                denom = 1 - w * complex(sums[i])
+                corr = w / denom if denom != 0 else w
+            except OverflowError:
+                corr = complex(inf)
+            if not cmath.isfinite(corr):
+                raise RootFindingError(
+                    "Aberth iteration diverged",
+                    roots=[complex(r / one, s / one) for r, s in zip(zr, zi)],
+                    max_update=inf,
+                )
+            steps.append((i, corr))
             au = abs(corr)
             if au < freeze:
                 done[i] = True
             max_update = max(max_update, au)
-        z = new_z
+        for i, corr in steps:
+            zr[i] -= int(Fraction(corr.real) * one)
+            zi[i] -= int(Fraction(corr.imag) * one)
         last_update = max_update
-        if max_update < tol_mp:
-            return z
+        if max_update < tol:
+            return [complex(r / one, s / one) for r, s in zip(zr, zi)]
     raise RootFindingError(
         f"Aberth iteration did not converge below {tol} in {max_iter} sweeps "
-        f"(last update {float(last_update):.3e})",
-        roots=[complex(w) for w in z],
-        max_update=float(last_update),
+        f"(last update {last_update:.3e})",
+        roots=[complex(r / one, s / one) for r, s in zip(zr, zi)],
+        max_update=last_update,
     )
+
+
+def _split(xs: list[int], one: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-point values x / one as double-double pairs hi + lo."""
+    hi = [x / one for x in xs]
+    lo = [(x - int(Fraction(h) * one)) / one for x, h in zip(xs, hi)]
+    return np.array(hi), np.array(lo)
+
+
+def _horner_fixed(coeffs: list[int], xr: int, xi: int, bits: int):
+    """p(x) and p'(x) for integer coefficients (lowest degree first) at
+    the fixed-point x = (xr + i xi) / 2^bits, both scaled by 2^bits."""
+    pr, pi_ = coeffs[-1] << bits, 0
+    dr = di = 0
+    for c in reversed(coeffs[:-1]):
+        dr, di = ((dr * xr - di * xi) >> bits) + pr, ((dr * xi + di * xr) >> bits) + pi_
+        pr, pi_ = ((pr * xr - pi_ * xi) >> bits) + (c << bits), (pr * xi + pi_ * xr) >> bits
+    return pr, pi_, dr, di
 
 
 def _horner(cs, x):

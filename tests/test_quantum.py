@@ -127,11 +127,22 @@ def test_delta_eigenrelation(n):
 
 
 def test_delta_geometric_by_hand():
-    # w/(1-w) at r = 1 is q/(1-q); one Delta step gives q/((1-q)(1-q^2))
-    assert delta_value(1, 1, 0, 1) == RatFunc(Poly([0, 1]), Poly([1, -1]))
+    # one Delta step on w/(1-w) gives w/((1-w)(1-qw)): q/((1-q)(1-q^2)) at r = 1
     expect = RatFunc(Poly([0, 1]), Poly([1, -1]) * Poly([1, 0, -1]))
     assert delta_value(1, 1, 1, 1) == expect
     assert apply_delta(OperatorSpec.riemann(-1), Poly([0, 1])).value == expect
+
+
+def test_bi_eval_examples():
+    # evaluation at r by hand: w/(1-w) at r = 1 is q/(1-q), w alone at
+    # r = 3 is q^3, and Delta(w/(1-w)) at r = 1 is q/((1-q)(1-q^2))
+    assert delta_value(1, 1, 0, 1) == RatFunc(Poly([0, 1]), Poly([1, -1]))
+    order = 40
+    got = series_from_ratfunc(delta_value(1, order + 1, 0, 3), order)
+    assert got == TruncSeries([0, 0, 0, 1], order)
+    assert delta_value(1, 1, 1, 1) == RatFunc(
+        Poly([0, 1]), Poly([1, -1]) * Poly([1, 0, -1])
+    )
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

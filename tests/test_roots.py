@@ -93,3 +93,29 @@ def test_determinism():
     a = find_roots(beta(6).value.num, 1e-12)
     b = find_roots(beta(6).value.num, 1e-12)
     assert a == b
+
+
+def test_horner_fixed_is_exact_at_a_dyadic_point():
+    # x = 3/4 + i/2 needs few bits, so every fixed-point step is exact
+    from fractions import Fraction
+
+    from qzeta.roots import _horner_fixed
+
+    coeffs = [1, -2, 0, 5, 3]
+    bits = 136
+    xr, xi = 3 << (bits - 2), 1 << (bits - 1)
+    pr, pi_, dr, di = _horner_fixed(coeffs, xr, xi, bits)
+    x = (Fraction(3, 4), Fraction(1, 2))
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    p, d = (Fraction(coeffs[-1]), Fraction(0)), (Fraction(0), Fraction(0))
+    for c in reversed(coeffs[:-1]):
+        dx = mul(d, x)
+        d = (dx[0] + p[0], dx[1] + p[1])
+        px = mul(p, x)
+        p = (px[0] + c, px[1])
+    one = 1 << bits
+    assert (pr, pi_) == (p[0] * one, p[1] * one)
+    assert (dr, di) == (d[0] * one, d[1] * one)
