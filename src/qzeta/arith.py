@@ -1,13 +1,14 @@
-"""Elementary integer arithmetic shared across the package.
+"""Elementary integer arithmetic shared across the package, including the
+polynomial kernels on integer coefficient lists (lowest degree first) that
+``poly``, ``fields`` and ``roots`` share; it imports nothing from the package.
 
 Everything here is deterministic, exact, and cheap at the scales the
 library targets (moduli and cyclotomic indices in the low hundreds).
 """
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 @lru_cache(maxsize=None)
@@ -76,51 +77,60 @@ def multiplicative_order(a: int, n: int) -> int:
     return order
 
 
-_cyclo_cache: dict[int, tuple[int, ...]] = {}
-_cyclo_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, lowest first.
 
     Computed by the exact recursion x^n - 1 = prod_{d | n} Phi_d: divide
-    x^n - 1 by the product of Phi_d over proper divisors d.  Cached; the
-    cache is guarded by a lock so concurrent callers see consistent state.
+    x^n - 1 by the product of Phi_d over proper divisors d.  Cached.
     """
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    cached = _cyclo_cache.get(n)
-    if cached is not None:
-        return cached
     if n == 1:
-        coeffs: tuple[int, ...] = (-1, 1)
-    else:
-        num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-        for d in divisors(n):
-            if d == n:
-                continue
-            num = _int_poly_div_exact(num, cyclotomic_int_coeffs(d))
-        coeffs = tuple(num)
-    with _cyclo_lock:
-        _cyclo_cache.setdefault(n, coeffs)
-    return _cyclo_cache[n]
-
-
-def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact division of integer polynomials with monic divisor."""
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
+        return (-1, 1)
+    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    for d in divisors(n):
+        if d == n:
             continue
-        out[i - dn] = c
-        for j, d in enumerate(den):
-            num[i - dn + j] -= c * d
-    if any(num[:dn]):
-        raise ArithmeticError("division was not exact")
+        num, rem = int_poly_divmod_monic(num, cyclotomic_int_coeffs(d))
+        if any(rem):
+            raise ArithmeticError("division was not exact")
+    return tuple(num)
+
+
+def clear_denominators(cs) -> tuple[list[int], int]:
+    """Integers and their common denominator for the rationals cs:
+    cs[i] == ints[i] / den, with den the least common denominator."""
+    den = 1
+    for c in cs:
+        den = lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def int_poly_mul(a, b) -> list[int]:
+    """Product of two nonempty integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
     return out
+
+
+def int_poly_divmod_monic(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer coefficient lists by a monic den;
+    the remainder is untrimmed, len(den) - 1 long unless num is shorter."""
+    rem = list(num)
+    dn = len(den) - 1
+    quo = [0] * max(len(rem) - dn, 0)
+    for i in range(len(rem) - 1, dn - 1, -1):
+        c = rem[i]
+        if c:
+            quo[i - dn] = c
+            for j in range(dn):  # den[dn] = 1 only cancels rem[i] itself
+                rem[i - dn + j] -= c * den[j]
+    return quo, rem[:dn]
 
 
 def phi_factor_indices(k: int, b: int) -> list[int]:

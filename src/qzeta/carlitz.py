@@ -14,6 +14,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, inf
 
 from .arith import divisors, phi_factor_indices
@@ -27,9 +28,9 @@ from .operators import (
     apply_series,
     _chi_scalar,
 )
-from .poly import Poly, cyclotomic, divide_out_cyclotomic
+from .poly import Poly, divide_out_cyclotomic
 from .quantum import quantum_value
-from .ratfunc import CycloFrac, RatFunc
+from .ratfunc import CycloFrac, RatFunc, _phi_product
 from .series import series_from_ratfunc
 
 _EXACT_BACKENDS = {"geometric": apply_geometric, "delta": apply_delta}
@@ -119,10 +120,7 @@ def _beta_sum(n: int, upto: int) -> CycloFrac:
     num = Poly.zero()
     for i in range(upto + 1):
         cf = _beta_cf[i]
-        scale = Poly([comb(n, i)])
-        missing = union - cf.phi
-        for d in sorted(missing):
-            scale = scale * cyclotomic(d) ** missing[d]
+        scale = _phi_product(union - cf.phi, "q").scale(comb(n, i))
         num = num + cf.num.shift(i) * scale
     return CycloFrac(num, union)
 
@@ -262,10 +260,7 @@ def _beta_poly_cf(n: int, x: Fraction) -> CycloFrac:
             missing[d] -= m
         for d in divisors(b):
             missing[d] -= n - i
-        for d in sorted(missing):
-            if missing[d]:
-                term = term * cyclotomic(d, var) ** missing[d]
-        num = num + term
+        num = num + term * _phi_product(missing, var)
     return CycloFrac(num, union)
 
 
@@ -316,13 +311,15 @@ def verify_hurwitz(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def beta_chi(chi: DirichletCharacter, n: int) -> BetaChi:
     """beta_{chi,n} = sum_{0<=j<N} chi(j) (F_N/[N]^(1-n)) (q^(j/N) beta_n(j/N)).
 
     Terms with gcd(j, N) > 1 vanish with chi(j); for the others the inner
     value lives on branch N, F_N turns it into a rational function of q
     (q^(j/N) -> q^j, inner coefficients q -> q^N), and the result is
-    weighted by [N]^(n-1) and chi(j).
+    weighted by [N]^(n-1) and chi(j).  Cached per (chi, n), so checking
+    one character with several backends builds it once.
     """
     if chi.is_trivial():
         raise DomainError("beta_chi assumes a non-trivial character")

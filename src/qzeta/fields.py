@@ -5,14 +5,25 @@ here as ``Rat``): it already guarantees the reduced-form invariants
 (coprime numerator/denominator, positive denominator, zero as 0/1) and
 serializes as "p/q".  ``CycRat`` adds elements of the cyclotomic field
 Q(zeta_m), represented by their coordinates modulo the m-th cyclotomic
-polynomial.  Both types are immutable and safe to share between threads.
+polynomial.  Products and reductions run on integer lists through the
+kernels of ``arith``; the inverse is the product of the other Galois
+conjugates over the norm.  Both types are immutable and thread-safe.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd
+from operator import mul
 from typing import Union
 
-from .arith import cyclotomic_int_coeffs, euler_phi
+from .arith import (
+    clear_denominators,
+    cyclotomic_int_coeffs,
+    euler_phi,
+    int_poly_divmod_monic,
+    int_poly_mul,
+)
 
 Rat = Fraction
 
@@ -45,7 +56,7 @@ class CycRat:
         else:
             vec = [Fraction(c) for c in coords]
             if len(vec) > dim:
-                vec = _reduce_mod_phi(vec, m)
+                vec = _reduce_mod_phi(*clear_denominators(vec), m)
             vec += [Fraction(0)] * (dim - len(vec))
         if len(vec) != dim:
             raise ValueError(f"expected {dim} coordinates for conductor {m}")
@@ -68,14 +79,7 @@ class CycRat:
     @classmethod
     def zeta_power(cls, m: int, k: int) -> "CycRat":
         """zeta_m^k as an element of Q(zeta_m)."""
-        k %= m
-        dim = euler_phi(m)
-        if k < dim:
-            coords = [Fraction(0)] * dim
-            coords[k] = Fraction(1)
-            return cls(m, coords)
-        vec = [Fraction(0)] * k + [Fraction(1)]
-        return cls(m, _reduce_mod_phi(vec, m))
+        return cls(m, [0] * (k % m) + [1])
 
     # -- structure ---------------------------------------------------------
 
@@ -140,38 +144,34 @@ class CycRat:
         if b.is_rational():
             r = b.coords[0]
             return CycRat(a.m, [c * r for c in a.coords])
-        prod = [Fraction(0)] * (len(a.coords) + len(b.coords) - 1)
-        for i, x in enumerate(a.coords):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coords):
-                if y:
-                    prod[i + j] += x * y
-        return CycRat(a.m, _reduce_mod_phi(prod, a.m))
+        ia, da = clear_denominators(a.coords)
+        ib, db = clear_denominators(b.coords)
+        return CycRat(a.m, _reduce_mod_phi(int_poly_mul(ia, ib), da * db, a.m))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycRat":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_m; raises ZeroDivisionError on zero."""
+        """Multiplicative inverse; raises ZeroDivisionError on zero.
+
+        The product of the Galois conjugates sigma_k (z -> z^k, k a unit
+        mod m, k != 1) times self is the norm, a nonzero rational, so that
+        product divided by the norm is the inverse.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
         if self.is_rational():
             return CycRat(self.m, 1 / self.coords[0])
-        # extended gcd of self (as a polynomial in z) and Phi_m over Q
-        r0 = [Fraction(c) for c in cyclotomic_int_coeffs(self.m)]
-        r1 = list(self.coords)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = _poly_divmod_q(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is a nonzero constant gcd (Phi_m irreducible)
-        _trim(r0)
-        if len(r0) != 1:
-            raise ArithmeticError("Phi_m was not coprime to the element")
-        inv_c = 1 / r0[0]
-        return CycRat(self.m, _reduce_mod_phi([c * inv_c for c in s0], self.m))
+        m = self.m
+        units = (k for k in range(2, m) if gcd(k, m) == 1)
+        conj = reduce(mul, (self._conjugate(k) for k in units))
+        return conj * (1 / (self * conj).rational())
+
+    def _conjugate(self, k: int) -> "CycRat":
+        """sigma_k(self) for k a unit mod m: every z^i becomes z^(ik mod m)."""
+        vec = [Fraction(0)] * self.m
+        for i, c in enumerate(self.coords):
+            vec[i * k % self.m] = c
+        return CycRat(self.m, vec)
 
     def __truediv__(self, other):
         a, b = self._coerce(other)
@@ -241,63 +241,8 @@ class CycRat:
         return {"conductor": self.m, "coords": [str(c) for c in self.coords]}
 
 
-# -- small exact polynomial helpers over Q (coefficient lists) -------------
-
-
-def _trim(cs: list[Fraction]) -> None:
-    while cs and cs[-1] == 0:
-        cs.pop()
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    _trim(out)
-    return out
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _poly_divmod_q(num, den):
-    num = list(num)
-    _trim(num)
-    den = list(den)
-    _trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    dn = len(den) - 1
-    lead = den[-1]
-    quo = [Fraction(0)] * max(len(num) - dn, 0)
-    while len(num) - 1 >= dn and num:
-        c = num[-1] / lead
-        k = len(num) - 1 - dn
-        quo[k] = c
-        for j, d in enumerate(den):
-            num[k + j] -= c * d
-        _trim(num)
-        if len(num) - 1 < dn:
-            break
-    return quo, num
-
-
-def _reduce_mod_phi(coords, m: int) -> list[Fraction]:
-    phi = [Fraction(c) for c in cyclotomic_int_coeffs(m)]
-    _, rem = _poly_divmod_q([Fraction(c) for c in coords], phi)
-    dim = euler_phi(m)
-    rem += [Fraction(0)] * (dim - len(rem))
-    return rem[:dim]
+def _reduce_mod_phi(ints: list[int], den: int, m: int) -> list[Fraction]:
+    """Coordinates of (sum_i ints[i] z^i) / den modulo Phi_m."""
+    _, rem = int_poly_divmod_monic(ints, cyclotomic_int_coeffs(m))
+    rem += [0] * (euler_phi(m) - len(rem))
+    return [Fraction(c, den) for c in rem]

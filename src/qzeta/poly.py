@@ -8,11 +8,11 @@ rendering and never affects arithmetic.
 """
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as int_gcd
 
-from .arith import cyclotomic_int_coeffs
+from .arith import clear_denominators, cyclotomic_int_coeffs, int_poly_mul
 from .fields import CycRat, FieldMismatchError
 
 
@@ -180,12 +180,11 @@ class Poly:
         rem = list(self.coeffs)
         dn = other.degree
         den = other.coeffs
-        lead = den[-1]
-        lead_is_one = _coeff_eq_one(lead)
+        inv = None if _coeff_eq_one(den[-1]) else _coeff_inv(den[-1])
         quo = [0] * max(len(rem) - dn, 0)
         top = len(rem) - 1
         while top >= dn:
-            c = rem[top] if lead_is_one else _coeff_div(rem[top], lead)
+            c = rem[top] if inv is None else rem[top] * inv
             if not _is_zero_coeff(c):
                 k = top - dn
                 quo[k] = c
@@ -341,9 +340,7 @@ def _is_zero_coeff(c) -> bool:
 def _coeff_eq_one(c) -> bool:
     if isinstance(c, (int, Fraction)):
         return c == 1
-    if isinstance(c, CycRat):
-        return c.is_rational() and c.coords[0] == 1
-    return c == 1
+    return c.is_rational() and c.coords[0] == 1  # CycRat
 
 
 def _coeff_inv(c):
@@ -351,19 +348,7 @@ def _coeff_inv(c):
         return Fraction(1, c)
     if isinstance(c, Fraction):
         return 1 / c
-    if isinstance(c, CycRat):
-        return c.inverse()
-    return 1 / c
-
-
-def _coeff_div(a, b):
-    if isinstance(b, int):
-        b = Fraction(b)
-    if isinstance(a, int):
-        a = Fraction(a)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a / b
-    return a * _coeff_inv(b)
+    return c.inverse()  # CycRat
 
 
 def _unify_coeffs(cs: list) -> list:
@@ -394,22 +379,9 @@ def _to_fraction(c) -> Fraction:
 
 def _mul_rational(a, b):
     """Convolution over Q through cleared integer lists (fast path)."""
-    da = 1
-    for c in a:
-        if isinstance(c, Fraction):
-            da = da * c.denominator // int_gcd(da, c.denominator)
-    db = 1
-    for c in b:
-        if isinstance(c, Fraction):
-            db = db * c.denominator // int_gcd(db, c.denominator)
-    ia = [int(c * da) for c in a]
-    ib = [int(c * db) for c in b]
-    out = [0] * (len(ia) + len(ib) - 1)
-    for i, x in enumerate(ia):
-        if x:
-            for j, y in enumerate(ib):
-                if y:
-                    out[i + j] += x * y
+    ia, da = clear_denominators(a)
+    ib, db = clear_denominators(b)
+    out = int_poly_mul(ia, ib)
     d = da * db
     if d == 1:
         return out
@@ -457,11 +429,7 @@ def _int_content(cs: list[int]) -> int:
 
 
 def _to_primitive_int(coeffs) -> list[int]:
-    den = 1
-    for c in coeffs:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
+    ints, _ = clear_denominators(coeffs)
     content = _int_content(ints)
     return [c // content for c in ints]
 
@@ -496,25 +464,16 @@ def _gcd_rational(a, b):
 
 # -- cyclotomic polynomials --------------------------------------------------
 
-_cyclo_poly_cache: dict[tuple[int, str], Poly] = {}
-_cyclo_poly_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def cyclotomic(n: int, var: str = "q") -> Poly:
-    """The n-th cyclotomic polynomial Phi_n over Q.
+    """The n-th cyclotomic polynomial Phi_n over Q.  Cached.
 
     >>> cyclotomic(6)
     Poly('1 - q + q^2')
     """
     if n < 1:
         raise ValueError("cyclotomic index must be a positive integer")
-    key = (n, var)
-    p = _cyclo_poly_cache.get(key)
-    if p is None:
-        p = Poly(cyclotomic_int_coeffs(n), var)
-        with _cyclo_poly_lock:
-            _cyclo_poly_cache.setdefault(key, p)
-    return _cyclo_poly_cache[key]
+    return Poly(cyclotomic_int_coeffs(n), var)
 
 
 def divide_out_cyclotomic(p: Poly, limits) -> tuple[Poly, list[tuple[int, int]]]:

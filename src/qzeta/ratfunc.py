@@ -13,7 +13,14 @@ from fractions import Fraction
 
 from .arith import divisors
 from .fields import CycRat
-from .poly import Poly, _coeff_inv, cyclotomic, divide_out_cyclotomic, poly_gcd
+from .poly import (
+    Poly,
+    _coeff_inv,
+    _is_zero_coeff,
+    cyclotomic,
+    divide_out_cyclotomic,
+    poly_gcd,
+)
 
 
 class PoleError(ZeroDivisionError):
@@ -198,7 +205,7 @@ class RatFunc:
         canonical form this is a genuine pole, not an unreduced common zero.
         """
         dv = self.den(p)
-        if _value_is_zero(dv):
+        if _is_zero_coeff(dv):
             raise PoleError(f"pole at {p}")
         nv = self.num(p)
         if isinstance(nv, int):
@@ -234,14 +241,6 @@ class RatFunc:
 
     def to_json(self) -> dict:
         return {"num": self.num.json_coeffs(), "den": self.den.json_coeffs()}
-
-
-def _value_is_zero(v) -> bool:
-    if isinstance(v, (int, Fraction)):
-        return v == 0
-    if isinstance(v, (float, complex)):
-        return v == 0
-    return not v
 
 
 class CycloFrac:

@@ -18,6 +18,7 @@ from math import gcd, inf, pi
 import mpmath as mp
 import numpy as np
 
+from .arith import clear_denominators
 from .poly import Poly, divide_out_cyclotomic
 from .ratfunc import RatFunc
 
@@ -65,14 +66,6 @@ class RootReport:
         }
 
 
-def _int_coeffs(p: Poly) -> list[int]:
-    den = 1
-    for c in p.coeffs:
-        c = Fraction(c)
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [int(Fraction(c) * den) for c in p.coeffs]
-
-
 def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 400) -> list[complex]:
     """All complex roots of a rational-coefficient polynomial.
 
@@ -85,7 +78,7 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 400) -> list[complex
         raise ValueError("find_roots needs a nonzero polynomial")
     if p.degree < 1:
         return []
-    coeffs = _int_coeffs(p)
+    coeffs, _ = clear_denominators(p.coeffs)
     nzeros = 0
     while coeffs[0] == 0:
         coeffs.pop(0)
@@ -319,7 +312,7 @@ def beta_root_survey(
         num = value.num
         if num.field_key() != "rat":
             num = num.map_coeffs(lambda c: c.rational())
-        coeffs = _int_coeffs(num)
+        coeffs, _ = clear_denominators(num.coeffs)
         while coeffs and coeffs[0] == 0:
             coeffs.pop(0)
         stripped = Poly(coeffs)

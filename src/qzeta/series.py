@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from .fields import CycRat
-from .poly import Poly, _is_zero_coeff
+from .poly import Poly, _coeff_inv, _is_zero_coeff
 from .ratfunc import RatFunc
 
 
@@ -203,7 +203,7 @@ def series_from_ratfunc(f: RatFunc, order: int, branch: int = 1) -> TruncSeries:
         raise ZeroDivisionError("denominator vanishes at 0; no power series there")
     num = f.num
     den = f.den
-    inv0 = _invert_scalar(den0)
+    inv0 = _coeff_inv(den0)
     out = []
     for k in range(order + 1):
         acc = num.coeff(k)
@@ -213,11 +213,3 @@ def series_from_ratfunc(f: RatFunc, order: int, branch: int = 1) -> TruncSeries:
                 acc = acc - di * out[k - i]
         out.append(acc * inv0)
     return TruncSeries(out, order, branch)
-
-
-def _invert_scalar(c):
-    if isinstance(c, int):
-        return Fraction(1, c)
-    if isinstance(c, Fraction):
-        return 1 / c
-    return c.inverse() if hasattr(c, "inverse") else 1 / c

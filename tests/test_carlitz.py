@@ -1,8 +1,10 @@
 """Bernoulli-Carlitz fractions and the verification pipelines."""
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from qzeta import carlitz
 from qzeta.carlitz import (
     bernoulli_number,
     beta,
@@ -68,6 +70,27 @@ def test_odd_values_vanish_at_one(n):
     assert beta(n).value(1) == 0
 
 
+@pytest.mark.parametrize("n", range(2, 31))
+def test_numerator_is_palindromic_up_to_sign(n):
+    # with its power of q removed, the numerator of beta_n reads the same
+    # backwards for even n and the same with opposite sign for odd n
+    cs = list(beta(n).value.num.coeffs)
+    while cs[0] == 0:
+        cs.pop(0)
+    sign = 1 if n % 2 == 0 else -1
+    assert cs == [sign * c for c in reversed(cs)]
+
+
+@pytest.mark.parametrize("n", range(0, 31))
+def test_beta_matches_carlitz_explicit_formula(n):
+    # beta_n = (1 - q)^(-n) sum_j (-1)^j C(n, j) (j + 1) / [j + 1]
+    total = RatFunc.zero()
+    for j in range(n + 1):
+        weight = (-1) ** j * comb(n, j) * (j + 1)
+        total = total + quantum_value(j + 1, 1).inverse() * weight
+    assert beta(n).value == total / RatFunc(Poly([1, -1])) ** n
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_denominator_is_full_cyclotomic_product_small(n):
     assert beta(n).value.den == phi_product(*range(2, n + 2))
@@ -129,8 +152,6 @@ def test_beta_poly_at_integer_x():
 def test_beta_poly_formal_zero_reduces_to_beta():
     # the symbolic convention: with q^0 = 1 and [0] = 0 only the i = n term
     # of the binomial expansion survives, which is beta_n itself
-    from math import comb
-
     for n in (2, 3, 5):
         total = RatFunc.zero()
         for i in range(n + 1):
@@ -206,6 +227,24 @@ def test_verify_chi_complex_over_gaussian_field():
     rep = verify_chi(chi, 2)
     assert rep.passed
     assert beta_chi(chi, 2).value.num.field_key() == ("cyc", 4)
+
+
+def test_beta_chi_built_once_across_exact_backends(monkeypatch):
+    calls = []
+    build = carlitz._beta_poly_cf
+
+    def counted(n, x):
+        calls.append((n, x))
+        return build(n, x)
+
+    monkeypatch.setattr(carlitz, "_beta_poly_cf", counted)
+    carlitz.beta_chi.cache_clear()
+    chi = character(5, 1)
+    assert verify_chi(chi, 2, "geometric").passed
+    built = len(calls)
+    assert built > 0
+    assert verify_chi(chi, 2, "delta").passed
+    assert len(calls) == built
 
 
 def test_verify_chi_n0_outside_exact_mode():

@@ -1,9 +1,13 @@
 """Scalar fields: rationals and cyclotomic elements."""
+import cmath
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from qzeta.arith import euler_phi
 from qzeta.fields import CycRat, FieldMismatchError, Rat
 
 
@@ -47,8 +51,6 @@ def test_inverse_of_zero_raises():
 @pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 12])
 def test_every_nonzero_element_invertible(m):
     rng = random.Random(m)
-    from qzeta.arith import euler_phi
-
     dim = euler_phi(m)
     for _ in range(25):
         coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
@@ -104,3 +106,26 @@ def test_json_value():
         "conductor": 4,
         "coords": ["0", "1"],
     }
+
+
+def _close(x: complex, y: complex) -> bool:
+    return cmath.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+
+
+small_coords = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+@given(data=st.data())
+def test_cycrat_kernel_matches_complex_embedding(m, data):
+    dim = euler_phi(m)
+    coords = st.lists(small_coords, min_size=dim, max_size=dim)
+    a, b = CycRat(m, data.draw(coords)), CycRat(m, data.draw(coords))
+    assert _close((a * b).to_complex(), a.to_complex() * b.to_complex())
+    if a:
+        assert a * a.inverse() == 1
+    # more than phi(m) coordinates: reduced modulo Phi_m on construction
+    raw = data.draw(st.lists(small_coords, min_size=dim + 1, max_size=2 * m + 2))
+    z = cmath.exp(2j * cmath.pi / m)
+    unreduced = sum(float(c) * z**i for i, c in enumerate(raw))
+    assert _close(CycRat(m, raw).to_complex(), unreduced)
