@@ -352,18 +352,26 @@ def _coeff_inv(c):
 
 
 def _unify_coeffs(cs: list) -> list:
-    """Promote mixed rational/CycRat coefficient lists to one field."""
+    """Promote mixed rational/CycRat coefficient lists to one field.
+
+    Conductor-1 CycRat values are rational: without another field present
+    they become Fractions, so the integer paths over Q can read them.
+    """
     target = None
+    unit_cyc = False
     for c in cs:
+        if _is_rational_coeff(c):
+            continue
         key = _field_key(c)
         if key == "rat":
+            unit_cyc = True
             continue
         if target is None:
             target = key
         elif target != key:
             raise FieldMismatchError(f"mixed coefficient fields {target} and {key}")
     if target is None:
-        return cs
+        return [_to_fraction(c) for c in cs] if unit_cyc else cs
     m = target[1]
     return [
         c if isinstance(c, CycRat) and c.m == m else CycRat(m, _to_fraction(c))

@@ -252,14 +252,16 @@ class CycloFrac:
     multiset of cyclotomic indices makes common denominators and final
     reduction (trial division by each Phi_d) cheap, with no general gcd in
     the hot path.  Mutable and not thread-shared; converted to RatFunc at
-    the end of a computation.
+    the end of a computation.  `reduced` is set only by reduce(), whose
+    result to_ratfunc() can take as canonical.
     """
 
-    __slots__ = ("num", "phi")
+    __slots__ = ("num", "phi", "reduced")
 
     def __init__(self, num: Poly, phi: Counter | None = None):
         self.num = num if isinstance(num, Poly) else Poly([num])
         self.phi = Counter(phi) if phi else Counter()
+        self.reduced = False
 
     @classmethod
     def zero(cls, var: str = "q") -> "CycloFrac":
@@ -323,16 +325,22 @@ class CycloFrac:
     def reduce(self) -> "CycloFrac":
         """Cancel every cyclotomic factor that divides the numerator."""
         if self.num.is_zero():
-            return CycloFrac(self.num)
-        num, cancelled = divide_out_cyclotomic(self.num, self.phi)
-        return CycloFrac(num, self.phi - Counter(dict(cancelled)))
+            out = CycloFrac(self.num)
+        else:
+            num, cancelled = divide_out_cyclotomic(self.num, self.phi)
+            out = CycloFrac(num, self.phi - Counter(dict(cancelled)))
+        out.reduced = True
+        return out
 
     def to_ratfunc(self) -> RatFunc:
-        """The RatFunc of a CycloFrac that reduce() returned.
+        """The same value as a RatFunc, reducing first unless reduce()
+        produced this one.
 
         Cyclotomic products are monic, and over Q the trial division in
         reduce() is a complete gcd, so the pair is canonical as constructed.
         """
+        if not self.reduced:
+            return self.reduce().to_ratfunc()
         den = _phi_product(self.phi, self.num.var)
         return RatFunc(self.num, den, _canonical=self.num.field_key() == "rat")
 

@@ -4,9 +4,12 @@ numerators.
 The solver is a simultaneous Aberth-Ehrlich iteration whose iterates and
 polynomial values are held in fixed-point integers of well beyond 80
 bits, warm-started from a double-precision sweep of the same iteration.
-Exact preprocessing strips the monomial root at 0 and known cyclotomic
-content before anything floating-point happens, so exactly-known
-unit-circle roots never burden the solve.  Everything is deterministic given (polynomial, tol).
+The warm start stops once its largest correction has stalled, since the
+fixed-point stage decides convergence.  Exact preprocessing strips the
+monomial root at 0 and known cyclotomic content before anything
+floating-point happens, so exactly-known unit-circle roots never burden
+the solve.  Survey residuals come from the same fixed-point Horner
+evaluation.  Everything is deterministic given (polynomial, tol).
 """
 from __future__ import annotations
 
@@ -97,6 +100,7 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 400) -> list[complex
 
 
 _GOLDEN = 0.6180339887498949
+_STALL_SWEEPS = 20  # warm-start sweeps without a new smallest correction
 
 
 def _circle_starts(deg: int, r0: float) -> np.ndarray:
@@ -109,9 +113,11 @@ def _circle_starts(deg: int, r0: float) -> np.ndarray:
 def _warm_start(coeffs: list[int]) -> list[complex]:
     """Double-precision Aberth sweep from perturbed-circle starts.
 
-    Diverging iterates are reset deterministically; if the sweep stalls,
-    companion-matrix eigenvalues reseed it.  The result only seeds the
-    extended-precision stage, which owns convergence.
+    Diverging iterates are reset deterministically.  The sweep stops when
+    the largest correction, relative to max(1, |z|), falls below 1e-13, or
+    when it has set no new minimum for _STALL_SWEEPS sweeps: doubles near a
+    cluster of roots stop improving long before that bound, and the result
+    only seeds the extended-precision stage, which owns convergence.
     """
     deg = len(coeffs) - 1
     scale = max(abs(c) for c in coeffs)
@@ -120,10 +126,10 @@ def _warm_start(coeffs: list[int]) -> list[complex]:
     r0 = a0 ** (1.0 / deg) if a0 > 0 else 1.0
     z = _circle_starts(deg, r0)
     dcs = np.polyder(cs_desc)
-    reseeded = False
     resets = 0
+    best, stalled = inf, 0
     with np.errstate(all="ignore"):
-        for it in range(600):
+        for _ in range(600):
             pz = np.polyval(cs_desc, z)
             dz = np.polyval(dcs, z)
             w = pz / np.where(np.abs(dz) < 1e-300, 1.0, dz)
@@ -140,17 +146,15 @@ def _warm_start(coeffs: list[int]) -> list[complex]:
                     resets += 1
                     z[i] = 1.5 * r0 * np.exp(2j * np.pi * _GOLDEN * resets)
                 continue
-            if np.max(np.abs(corr)) < 1e-13 * max(1.0, np.max(np.abs(z))):
+            update = np.max(np.abs(corr)) / max(1.0, np.max(np.abs(z)))
+            if update < 1e-13:
                 break
-            if it == 120 and not reseeded:
-                # slow progress: reseed from companion-matrix eigenvalues
-                reseeded = True
-                try:
-                    ev = np.roots(cs_desc)
-                    if np.all(np.isfinite(ev)) and len(ev) == deg:
-                        z = ev.astype(np.complex128)
-                except Exception:
-                    pass
+            if update < best:
+                best, stalled = update, 0
+            else:
+                stalled += 1
+                if stalled >= _STALL_SWEEPS:
+                    break
     z = np.where(np.isfinite(z), z, 0)
     return list(z)
 
@@ -239,13 +243,6 @@ def _horner_fixed(coeffs: list[int], xr: int, xi: int, bits: int):
     return pr, pi_, dr, di
 
 
-def _horner(cs, x):
-    acc = mp.mpc(0)
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
 def _classify_one(z: complex, tol_circle: float, tol_real: float) -> str:
     if abs(abs(z) - 1) <= tol_circle:
         return "on_unit_circle"
@@ -271,16 +268,28 @@ def classify_roots(
     return counts
 
 
+_RESIDUAL_BITS = mp.libmp.dps_to_prec(40)  # 136, the solver's bits at tol >= 1e-15
+
+
 def _residuals(coeffs: list[int], roots: list[complex]) -> list[float]:
-    """|p(z)| normalized by max|coeff| * max(1, |z|)^deg, in high precision."""
+    """|p(z)| normalized by max|coeff| * max(1, |z|)^deg.
+
+    p(z) comes from the fixed-point Horner at _RESIDUAL_BITS fractional
+    bits; the solver's roots are multiples of 2^-136, so they convert
+    exactly.  Only the final quotient is taken in mpmath.
+    """
     deg = len(coeffs) - 1
     scale = max(abs(c) for c in coeffs)
+    bits = _RESIDUAL_BITS
+    one = 1 << bits
     out = []
     with mp.workdps(40):
-        cs = [mp.mpf(c) for c in coeffs]
         for z in roots:
-            val = abs(_horner(cs, mp.mpc(z)))
-            norm = mp.mpf(scale) * mp.mpf(max(1.0, abs(z))) ** deg
+            pr, pi_, _, _ = _horner_fixed(
+                coeffs, int(Fraction(z.real) * one), int(Fraction(z.imag) * one), bits
+            )
+            val = mp.sqrt(mp.mpf(pr * pr + pi_ * pi_))
+            norm = mp.mpf(scale * one) * mp.mpf(max(1.0, abs(z))) ** deg
             out.append(float(val / norm))
     return out
 

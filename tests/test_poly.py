@@ -118,3 +118,11 @@ def test_constants_hash_as_their_scalar():
     assert hash(Poly([CycRat(4, 3)])) == hash(3)
     p = Poly([0, 1, 1])
     assert RatFunc.from_poly(p) == p and hash(RatFunc.from_poly(p)) == hash(p)
+
+
+def test_conductor_one_cycrat_coefficients_are_rational():
+    # CycRat values of conductor 1 become Fractions, so the integer gcd reads them
+    p = Poly([CycRat(1, 2), CycRat(1, 1)])
+    assert p.coeffs == (2, 1) and all(isinstance(c, Fraction) for c in p.coeffs)
+    assert poly_gcd(p, Poly([2, 1])) == Poly([2, 1])
+    assert Poly([CycRat(1, 1), CycRat(4, [0, 1])]).field_key() == ("cyc", 4)

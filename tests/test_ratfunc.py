@@ -128,3 +128,10 @@ def test_poly_and_ratfunc_mix_to_ratfunc():
     q = Poly([0, 1])
     assert isinstance(q * f, RatFunc) and q * f == RatFunc(q, Poly([1, 1]))
     assert isinstance(q + f, RatFunc) and q + f == RatFunc(Poly([1, 1, 1]), Poly([1, 1]))
+
+
+def test_unreduced_cyclofrac_converts_to_canonical_ratfunc():
+    # (q - q^2) / (1 - q) = q: to_ratfunc reduces a value reduce() did not make
+    f = CycloFrac(Poly([0, 1, -1])).div_one_minus(1).to_ratfunc()
+    assert (f.num, f.den) == (Poly([0, 1]), Poly([1]))
+    assert hash(f) == hash(Poly([0, 1]))

@@ -119,3 +119,72 @@ def test_horner_fixed_is_exact_at_a_dyadic_point():
     one = 1 << bits
     assert (pr, pi_) == (p[0] * one, p[1] * one)
     assert (dr, di) == (d[0] * one, d[1] * one)
+
+
+# (real_positive, on_unit_circle, complex_pairs_off_circle, other_real) for
+# n = 2..21 as the solver gave them with a 600-sweep float seed; stopping
+# the seed early must not move them
+CENSUS_TO_21 = {
+    2: (0, 0, 0, 0), 3: (0, 1, 0, 0), 4: (2, 2, 0, 0), 5: (2, 3, 0, 0),
+    6: (4, 6, 0, 0), 7: (4, 7, 0, 0), 8: (6, 8, 4, 0), 9: (6, 11, 4, 0),
+    10: (8, 14, 8, 0), 11: (8, 21, 4, 0), 12: (10, 30, 4, 0),
+    13: (10, 29, 4, 0), 14: (12, 32, 12, 0), 15: (12, 35, 16, 0),
+    16: (14, 44, 20, 0), 17: (14, 53, 16, 0), 18: (16, 60, 24, 0),
+    19: (16, 63, 20, 0), 20: (18, 68, 32, 0), 21: (18, 81, 28, 0),
+}
+CENSUS_KEYS = ("real_positive", "on_unit_circle", "complex_pairs_off_circle", "other_real")
+
+
+@pytest.fixture(scope="module")
+def survey_21():
+    return beta_root_survey(21)
+
+
+def test_census_to_21_is_pinned(survey_21):
+    assert {rep.n: tuple(rep.counts[k] for k in CENSUS_KEYS) for rep in survey_21} == CENSUS_TO_21
+    assert max(max(rep.residuals, default=0.0) for rep in survey_21) <= 1e-15
+
+
+def test_residuals_match_a_120_digit_horner(survey_21):
+    import mpmath as mp
+
+    from qzeta.arith import clear_denominators
+
+    with mp.workdps(120):
+        for rep in survey_21:
+            coeffs, _ = clear_denominators(beta(rep.n).value.num.coeffs)
+            coeffs = coeffs[next(i for i, c in enumerate(coeffs) if c):]
+            scale = max(abs(c) for c in coeffs)
+            for z, res in zip(rep.roots, rep.residuals):
+                x, acc = mp.mpc(z), mp.mpc(0)
+                for c in reversed(coeffs):
+                    acc = acc * x + c
+                ref = abs(acc) / (scale * mp.mpf(max(1.0, abs(z))) ** rep.degree)
+                assert abs(res - ref) <= 1e-15 * ref, (rep.n, z)
+
+
+def test_warm_start_stops_when_it_stalls(monkeypatch):
+    # without a stall stop the float seed runs to its 600-sweep cap on the
+    # stripped, Phi-divided numerator of beta_21 (degree 126)
+    import numpy as np
+
+    from qzeta import roots
+    from qzeta.arith import clear_denominators
+    from qzeta.poly import divide_out_cyclotomic
+
+    coeffs, _ = clear_denominators(beta(21).value.num.coeffs)
+    stripped = Poly(coeffs[next(i for i, c in enumerate(coeffs) if c):])
+    rest, _ = divide_out_cyclotomic(stripped, dict.fromkeys(range(1, 23), float("inf")))
+    ints, _ = clear_denominators(rest.coeffs)
+    assert len(ints) - 1 == 126
+    calls = 0
+    polyval = np.polyval
+
+    def counting(p, x):
+        nonlocal calls
+        calls += 1
+        return polyval(p, x)
+
+    monkeypatch.setattr(roots.np, "polyval", counting)
+    roots._warm_start(ints)
+    assert calls // 2 <= 100  # p and p' once per sweep
