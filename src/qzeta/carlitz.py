@@ -11,13 +11,11 @@ B_n (convention B_1 = -1/2), which serves as an independent oracle.
 from __future__ import annotations
 
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf
 
-from .arith import divisors, phi_factor_indices
 from .characters import DirichletCharacter
 from .operators import (
     CheckReport,
@@ -28,9 +26,9 @@ from .operators import (
     apply_series,
     _chi_scalar,
 )
-from .poly import Poly, divide_out_cyclotomic
+from .poly import Poly, branch_var, divide_out_cyclotomic
 from .quantum import quantum_value
-from .ratfunc import CycloFrac, RatFunc, _phi_product
+from .ratfunc import CycloFrac, RatFunc
 from .series import series_from_ratfunc
 
 _EXACT_BACKENDS = {"geometric": apply_geometric, "delta": apply_delta}
@@ -113,16 +111,9 @@ def _extend_beta_table(n: int) -> None:
 
 def _beta_sum(n: int, upto: int) -> CycloFrac:
     """sum_{i <= upto} C(n, i) q^i beta_i over one common cyclotomic denominator."""
-    union: Counter = Counter()
-    for i in range(upto + 1):
-        for d, m in _beta_cf[i].phi.items():
-            union[d] = max(union[d], m)
-    num = Poly.zero()
-    for i in range(upto + 1):
-        cf = _beta_cf[i]
-        scale = _phi_product(union - cf.phi, "q").scale(comb(n, i))
-        num = num + cf.num.shift(i) * scale
-    return CycloFrac(num, union)
+    return CycloFrac.sum(
+        _beta_cf[i].shift(i).times_scalar(comb(n, i)) for i in range(upto + 1)
+    )
 
 
 def beta(n: int) -> BetaFraction:
@@ -234,34 +225,14 @@ def _beta_poly_cf(n: int, x: Fraction) -> CycloFrac:
     over one cyclotomic denominator on branch b = denominator of x."""
     a, b = x.numerator, x.denominator
     _extend_beta_table(n)
-    # common denominator: (v^b - 1)^n times every rebased beta_i denominator
-    union: Counter = Counter()
-    rebased_phi: list[Counter] = []
+    var = branch_var(b)
+    bx_num = Poly([-1] + [0] * (a - 1) + [1], var)  # v^a - 1
+    terms = []
     for i in range(n + 1):
-        cnt: Counter = Counter()
-        for d, m in _beta_cf[i].phi.items():
-            for dd in phi_factor_indices(d, b):
-                cnt[dd] += m
-        rebased_phi.append(cnt)
-        for d, m in cnt.items():
-            union[d] = max(union[d], m)
-    for d in divisors(b):
-        union[d] += n
-    bx_num = Poly([-1] + [0] * (a - 1) + [1], "v" if b > 1 else "q")  # v^a - 1
-    var = bx_num.var
-    num = Poly.zero(var)
-    for i in range(n + 1):
-        # C(n,i) * v^(a i) * (v^a - 1)^(n-i) * beta_i(v^b), over the union
-        term = Poly(_beta_cf[i].num.scale_exponents(b).coeffs, var).shift(a * i)
-        term = term.scale(comb(n, i))
-        term = term * bx_num ** (n - i)
-        missing = Counter(union)
-        for d, m in rebased_phi[i].items():
-            missing[d] -= m
-        for d in divisors(b):
-            missing[d] -= n - i
-        num = num + term * _phi_product(missing, var)
-    return CycloFrac(num, union)
+        # C(n,i) v^(a i) beta_i(v^b) [x]^(n-i), with [x] = (v^a - 1)/(v^b - 1)
+        term = _beta_cf[i].scale_exponents(b, var).shift(a * i).times_scalar(comb(n, i))
+        terms.append(term.times_poly(bx_num ** (n - i)).div_pow_one_minus_var_pow(b, n - i))
+    return CycloFrac.sum(terms, var)
 
 
 def beta_poly(n: int, x) -> BetaPolynomial:
@@ -301,7 +272,7 @@ def verify_hurwitz(
             name, None, note="s = 1 - n = 1 > 0: series/numeric mode only"
         )
     a = x.numerator
-    lhs = RatFunc.from_poly(Poly.monomial(a, 1, "v" if x.denominator > 1 else "q")) * beta_poly(n, x).value
+    lhs = RatFunc.from_poly(Poly.monomial(a, 1, branch_var(x.denominator))) * beta_poly(n, x).value
     spec = OperatorSpec.hurwitz(1 - n, x)
     return _check_relation(name, lhs, spec, _theorem_operand(n), backend, series_order)
 
@@ -327,35 +298,24 @@ def beta_chi(chi: DirichletCharacter, n: int) -> BetaChi:
         raise ValueError("index must be >= 0")
     N = chi.modulus
     bracket_num = quantum_value(N, 1).num  # [N] as a polynomial in q
-    total = CycloFrac.zero()
+    terms = []
     for j in range(1, N):
         cj = _chi_scalar(chi, j)
         if not cj:
             continue
         x = Fraction(j, N)
-        cf = _beta_poly_cf(n, x)  # on branch b' = denominator of j/N
-        k1 = N // x.denominator
-        # rebase to branch N, multiply by q^(j/N) = v^j, then F_N relabels
-        # the branch-N representation as a polynomial in q
-        num = cf.num.scale_exponents(k1).shift(j) if k1 > 1 else cf.num.shift(j)
-        num = Poly(num.coeffs, "q")
-        phi: Counter = Counter()
-        for d, m in cf.phi.items():
-            if k1 > 1:
-                for dd in phi_factor_indices(d, k1):
-                    phi[dd] += m
-            else:
-                phi[d] += m
-        term = CycloFrac(num.scale(cj), phi)
+        # rebase from branch b' = denominator of j/N to branch N, multiply
+        # by q^(j/N) = v^j, and let F_N relabel branch N as q
+        term = _beta_poly_cf(n, x).scale_exponents(N // x.denominator, "q").shift(j)
+        term = term.times_scalar(cj)
         if n >= 1:
             term = term.times_poly(bracket_num ** (n - 1))
         else:
-            # [N]^(n-1) = 1/[N]; [N] is the product of Phi_d over d | N, d > 1
-            for d in divisors(N):
-                if d > 1:
-                    term.phi[d] += 1
-        total = total + term
-    return BetaChi(chi, n, total.reduce().to_ratfunc())
+            # [N]^(n-1) = 1/[N] = (q - 1)/(q^N - 1): Phi_d for d | N, d > 1
+            term = term.div_pow_one_minus_var_pow(N, 1)
+            term.phi[1] -= 1
+        terms.append(term)
+    return BetaChi(chi, n, CycloFrac.sum(terms).reduce().to_ratfunc())
 
 
 def verify_chi(chi: DirichletCharacter, n: int, backend: str = "geometric") -> CheckReport:

@@ -36,7 +36,7 @@ from .operators import (
     euler_product_apply,
     numeric_apply,
 )
-from .poly import Poly
+from .poly import Poly, branch_var
 from .ratfunc import PoleError
 from .roots import beta_root_survey
 
@@ -261,8 +261,7 @@ def _cmd_hurwitz_beta(args) -> int:
     if args.format == "json":
         print(json.dumps(doc))
     else:
-        var = "v" if bp.branch > 1 else "q"
-        note = f"  (in {var} = q^(1/{bp.branch}))" if bp.branch > 1 else ""
+        note = f"  (in {branch_var(bp.branch)} = q^(1/{bp.branch}))" if bp.branch > 1 else ""
         print(f"beta_{bp.n}({bp.x}) = ({doc['num']}) / ({doc['den']}){note}")
     return 0
 

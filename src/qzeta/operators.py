@@ -10,6 +10,10 @@ Three independent exact backends evaluate the same operator:
   space, which is exact through the truncation order because the n-th
   term has q-valuation at least n.
 
+All three read the operator from one index set, ``_kernel``: the
+Dirichlet coefficients 1, the Hurwitz shift x, or chi(n), as the
+generating function sum_a c_a w^a / (1 - w^M).
+
 Exact mode is restricted to integer s <= 0, where [n]^(-s) is a
 polynomial; general complex s is served by the clearly-separated
 floating-point ``numeric_apply``.
@@ -23,7 +27,7 @@ from math import comb, pi
 
 from .arith import primes_upto
 from .characters import DirichletCharacter
-from .poly import Poly, _is_zero_coeff
+from .poly import Poly, _is_zero_coeff, branch_var
 from .quantum import frobenius, quantum_value
 from .ratfunc import CycloFrac, RatFunc
 from .series import TruncSeries
@@ -152,34 +156,40 @@ def apply_geometric(spec: OperatorSpec, P: Poly) -> ApplyResult:
     m = -spec.s
     _check_operand(P)
     b = spec.branch
-    var = "q" if b == 1 else "v"
+    var = branch_var(b)
+    kernel = _kernel(spec)
     total = CycloFrac.zero(var)
     for r, c_r in enumerate(P.coeffs):
         if _is_zero_coeff(c_r):
             continue
         for j in range(m + 1):
             w = comb(m, j) * (-1) ** (m - j)
-            term = _geometric_piece(spec, j + r, var)
+            term = _geometric_piece(kernel, j + r, var)
             total = total + term.times_scalar(c_r * w)
     total = total.div_pow_one_minus_var_pow(b, m)
     return ApplyResult(total.reduce().to_ratfunc(), b, "geometric")
 
 
-def _geometric_piece(spec: OperatorSpec, e: int, var: str) -> CycloFrac:
-    """sum over the operator's index set of q^(index * e), as a CycloFrac."""
-    if spec.kind == "riemann":
-        return CycloFrac(Poly.monomial(e, 1, var)).div_one_minus(e)
+def _kernel(spec: OperatorSpec) -> tuple[dict[int, object], int]:
+    """The operator's index set as ({a: c_a}, M) for the generating function
+    sum_a c_a w^a / (1 - w^M), in units of 1/branch: the Dirichlet
+    coefficient of index n + x sits at w^(branch (n + x))."""
     if spec.kind == "hurwitz":
-        a, b = spec.x.numerator, spec.x.denominator
-        return CycloFrac(Poly.monomial(a * e, 1, var)).div_one_minus(b * e)
-    chi = spec.chi
-    N = chi.modulus
-    coeffs = [0] * (N * e + 1)
-    for u in range(1, N + 1):
-        cu = _chi_scalar(chi, u)
-        if cu:
-            coeffs[u * e] = cu
-    return CycloFrac(Poly(coeffs, var)).div_one_minus(N * e)
+        return {spec.x.numerator: 1}, spec.x.denominator
+    if spec.kind == "dirichlet":
+        N = spec.chi.modulus
+        return {u: c for u in range(1, N + 1) if (c := _chi_scalar(spec.chi, u))}, N
+    return {1: 1}, 1
+
+
+def _geometric_piece(kernel, e: int, var: str) -> CycloFrac:
+    """sum over the operator's index set of q^(index * e), as a CycloFrac:
+    sum_a c_a v^(a e) / (1 - v^(M e))."""
+    coeffs, M = kernel
+    num = [0] * (max(coeffs) * e + 1)
+    for a, c in coeffs.items():
+        num[a * e] = c
+    return CycloFrac(Poly(num, var)).div_one_minus(M * e)
 
 
 # ---------------------------------------------------------------------------
@@ -237,30 +247,13 @@ class _DeltaKernel:
         return acc
 
 
-def _kernel_for(spec: OperatorSpec) -> _DeltaKernel:
-    b = spec.branch
-    var = "q" if b == 1 else "v"
-    if spec.kind == "riemann":
-        return _DeltaKernel({1: 1}, 1, 1, var)
-    if spec.kind == "hurwitz":
-        return _DeltaKernel({spec.x.numerator: 1}, spec.x.denominator, b, var)
-    chi = spec.chi
-    N = chi.modulus
-    coeffs = {}
-    for u in range(1, N + 1):
-        cu = _chi_scalar(chi, u)
-        if cu:
-            coeffs[u] = cu
-    return _DeltaKernel(coeffs, N, 1, var)
-
-
 def apply_delta(spec: OperatorSpec, P: Poly) -> ApplyResult:
     """Evaluate through m = -s applications of the q-difference Delta to the
     operator's periodic generating function, then substitute w = q^r for
     every monomial of P.  Agrees with apply_geometric exactly."""
     m = -spec.s
     _check_operand(P)
-    kern = _kernel_for(spec)
+    kern = _DeltaKernel(*_kernel(spec), spec.branch, branch_var(spec.branch))
     for _ in range(m):
         kern.step()
     total = CycloFrac.zero(kern.var)
@@ -288,28 +281,14 @@ def apply_series(spec: OperatorSpec, P: Poly, order: int) -> TruncSeries:
     if order < 1:
         raise DomainError("series order must be >= 1")
     b = spec.branch
+    kernel, M = _kernel(spec)
     coeffs: list = [0] * (order + 1)
     monos = [(r, c) for r, c in enumerate(P.coeffs) if not _is_zero_coeff(c)]
-    if spec.kind == "hurwitz":
-        a, bb = spec.x.numerator, spec.x.denominator
-        min_r = min((r for r, _ in monos), default=None)
-        k = 0
-        while min_r is not None and (k * bb + a) * min_r <= order:
-            c = k * bb + a  # [k+x] = (v^c - 1)/(v^b - 1)
-            powm = _int_pow_trunc(_bracket_series_ints(c, bb, order), m, order)
-            _accumulate(coeffs, powm, monos, c, order)
-            k += 1
-    else:
-        chi = spec.chi
-        for n in range(1, order + 1):
-            if chi is not None:
-                scal = _chi_scalar(chi, n)
-                if not scal:
-                    continue
-            else:
-                scal = 1
-            powm = _int_pow_trunc(_bracket_series_ints(n, 1, order), m, order)
-            _accumulate(coeffs, powm, monos, n, order, scal)
+    top = order // monos[0][0] if monos else 0  # the lowest monomial bounds c
+    for a, c_a in kernel.items():
+        for c in range(a, top + 1, M):  # [c/b] = (v^c - 1)/(v^b - 1)
+            powm = _int_pow_trunc(_bracket_series_ints(c, b, order), m, order)
+            _accumulate(coeffs, powm, monos, c, order, c_a)
     return TruncSeries(coeffs, order, b)
 
 

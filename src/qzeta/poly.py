@@ -283,13 +283,7 @@ class Poly:
 
     def json_coeffs(self) -> list:
         """Coefficient array, lowest degree first, values as "p/q" strings."""
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, CycRat):
-                out.append(c.json_value())
-            else:
-                out.append(str(Fraction(c)))
-        return out
+        return [_json_coeff(c) for c in self.coeffs]
 
     # -- internals -----------------------------------------------------------
 
@@ -306,6 +300,16 @@ class Poly:
             if key != "rat":
                 return key
         return "rat"
+
+
+def branch_var(b: int) -> str:
+    """The variable on branch b: q itself, or v = q^(1/b) for b > 1."""
+    return "q" if b == 1 else "v"
+
+
+def _json_coeff(c):
+    """One coefficient in JSON form: a "p/q" string, or CycRat's own form."""
+    return c.json_value() if isinstance(c, CycRat) else str(Fraction(c))
 
 
 def _render_terms(coeffs, var: str) -> str:

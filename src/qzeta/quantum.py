@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .poly import Poly
+from .poly import Poly, branch_var
 from .ratfunc import RatFunc
 from .series import TruncSeries
 
@@ -59,8 +59,7 @@ def quantum_int(index, branch: int | None = None) -> QuantumInt:
     if branch < 1 or (branch * index).denominator != 1:
         raise ValueError(f"index {index} is not representable on branch {branch}")
     c = int(branch * index)
-    var = "q" if branch == 1 else "v"
-    return QuantumInt(index, branch, quantum_value(c, branch, var))
+    return QuantumInt(index, branch, quantum_value(c, branch, branch_var(branch)))
 
 
 def frobenius(f, n):

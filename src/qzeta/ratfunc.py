@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .arith import divisors
+from .arith import divisors, phi_factor_indices
 from .fields import CycRat
 from .poly import (
     Poly,
@@ -302,19 +302,35 @@ class CycloFrac:
             phi[d] += m
         return CycloFrac(self.num, phi)
 
+    def scale_exponents(self, k: int, var: str) -> "CycloFrac":
+        """Substitute v -> v^k and name the variable var; each Phi_d(v^k)
+        splits into the Phi_e(v) for e in phi_factor_indices(d, k)."""
+        phi = Counter()
+        for d, m in self.phi.items():
+            for e in phi_factor_indices(d, k):
+                phi[e] += m
+        return CycloFrac(Poly(self.num.scale_exponents(k).coeffs, var), phi)
+
+    @staticmethod
+    def sum(terms, var: str = "q") -> "CycloFrac":
+        """The sum over the least common denominator: the union of the
+        terms' Phi multisets, with each numerator multiplied once by the
+        factors it lacks."""
+        terms = [t for t in terms if not t.is_zero()]
+        if len(terms) <= 1:
+            return terms[0].copy() if terms else CycloFrac.zero(var)
+        union = Counter()
+        for t in terms:
+            union |= t.phi
+        num = Poly.zero(var)
+        for t in terms:
+            num = num + t.num * _phi_product(union - t.phi, var)
+        return CycloFrac(num, union)
+
     def __add__(self, other: "CycloFrac") -> "CycloFrac":
         if not isinstance(other, CycloFrac):
             return NotImplemented
-        if self.is_zero():
-            return other.copy()
-        if other.is_zero():
-            return self.copy()
-        union = Counter(self.phi)
-        for d, m in other.phi.items():
-            union[d] = max(union[d], m)
-        a = self.num * _phi_product(union - self.phi, self.num.var)
-        b = other.num * _phi_product(union - other.phi, other.num.var)
-        return CycloFrac(a + b, union)
+        return CycloFrac.sum((self, other), self.num.var)
 
     def __neg__(self) -> "CycloFrac":
         return CycloFrac(-self.num, Counter(self.phi))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from .fields import CycRat
-from .poly import Poly, _coeff_inv, _is_zero_coeff
+from .poly import Poly, _coeff_inv, _is_zero_coeff, _json_coeff, _render_terms, branch_var
 from .ratfunc import RatFunc
 
 
@@ -172,20 +172,13 @@ class TruncSeries:
         return f"TruncSeries({list(self.coeffs)}, order={self.order}, branch={self.branch})"
 
     def __str__(self):
-        from .poly import _render_terms
-
-        var = "q" if self.branch == 1 else "v"
+        var = branch_var(self.branch)
         body = _render_terms(self.coeffs, var)
         return f"{body} + O({var}^{self.order + 1})"
 
     def to_json(self) -> dict:
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, CycRat):
-                out.append(c.json_value())
-            else:
-                out.append(str(Fraction(c)))
-        return {"branch": self.branch, "order": self.order, "coeffs": out}
+        coeffs = [_json_coeff(c) for c in self.coeffs]
+        return {"branch": self.branch, "order": self.order, "coeffs": coeffs}
 
 
 def series_from_ratfunc(f: RatFunc, order: int, branch: int = 1) -> TruncSeries:

@@ -10,6 +10,7 @@ from qzeta.operators import (
     ConvergenceError,
     DomainError,
     OperatorSpec,
+    _kernel,
     apply_delta,
     apply_geometric,
     apply_series,
@@ -253,3 +254,53 @@ def test_numeric_hurwitz():
     exact = apply_geometric(OperatorSpec.hurwitz(-1, x), Q).value
     # exact value is in v = q^(1/2): evaluate at sqrt(0.25)
     assert abs(got - complex(exact(0.5))) <= 1e-10
+
+
+# -- the one index set the three exact backends read ----------------------------
+
+
+def _chi_of_order(N, order):
+    return next(chi for chi in characters(N) if chi.order == order)
+
+
+DEFINITION_SPECS = [
+    OperatorSpec.riemann(0),
+    OperatorSpec.hurwitz(0, Fraction(1, 2)),
+    OperatorSpec.hurwitz(0, Fraction(2, 3)),
+    OperatorSpec.hurwitz(0, Fraction(5, 2)),
+    OperatorSpec.dirichlet_l(0, _chi_of_order(4, 2)),
+    OperatorSpec.dirichlet_l(0, _chi_of_order(5, 4)),
+    OperatorSpec.dirichlet_l(0, _chi_of_order(7, 6)),
+]
+
+
+def _dirichlet_coefficients(spec, order):
+    """The definition: coefficient a_n of the index n + x, placed at
+    exponent branch * (n + x) in v = q^(1/branch)."""
+    out = [0] * (order + 1)
+    if spec.x is not None:  # 1 at b(k + x) for k >= 0
+        for k in range(order + 1):
+            e = spec.branch * (k + spec.x)
+            if e <= order:
+                out[int(e)] = 1
+    else:  # 1, or chi(n), for n >= 1
+        for n in range(1, order + 1):
+            out[n] = spec.chi(n) if spec.chi is not None else 1
+    return out
+
+
+@pytest.mark.parametrize("spec", DEFINITION_SPECS, ids=str)
+def test_kernel_is_the_definition(spec):
+    # sum_a c_a sum_t w^(a + tM), through w^40
+    kernel, M = _kernel(spec)
+    expanded = [0] * 41
+    for a, c in kernel.items():
+        for e in range(a, 41, M):
+            expanded[e] += c
+    assert expanded == _dirichlet_coefficients(spec, 40)
+
+
+@pytest.mark.parametrize("spec", DEFINITION_SPECS, ids=str)
+def test_series_of_the_zero_operand_is_zero(spec):
+    out = apply_series(spec, Poly.zero(), 12)
+    assert out.is_zero() and (out.order, out.branch) == (12, spec.branch)

@@ -1,4 +1,5 @@
 """Canonical rational functions."""
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 
 from conftest import ratfuncs
 from qzeta.poly import Poly, cyclotomic, poly_gcd
+from qzeta.quantum import frobenius
 from qzeta.ratfunc import CycloFrac, PoleError, RatFunc
 
 
@@ -135,3 +137,48 @@ def test_unreduced_cyclofrac_converts_to_canonical_ratfunc():
     f = CycloFrac(Poly([0, 1, -1])).div_one_minus(1).to_ratfunc()
     assert (f.num, f.den) == (Poly([0, 1]), Poly([1]))
     assert hash(f) == hash(Poly([0, 1]))
+
+
+# -- one common denominator for a sum, and v -> v^k ---------------------------
+
+SUM_TERMS = [
+    CycloFrac(Poly([0, 1])).div_one_minus(2),
+    CycloFrac(Poly([1, 0, -2])).div_one_minus(3).div_one_minus(1),
+    CycloFrac(Poly([Fraction(1, 2)])).div_pow_one_minus_var_pow(6, 2),
+    CycloFrac(Poly([0, 0, 3])),
+]
+
+
+def test_cyclofrac_sum_equals_pairwise_addition():
+    total = CycloFrac.sum(SUM_TERMS)
+    pairwise = SUM_TERMS[0] + SUM_TERMS[1] + SUM_TERMS[2] + SUM_TERMS[3]
+    assert total.phi == pairwise.phi == Counter({1: 2, 2: 2, 3: 2, 6: 2})
+    assert total.num == pairwise.num
+    assert total.to_ratfunc() == sum(t.to_ratfunc() for t in SUM_TERMS)
+
+
+def test_cyclofrac_sum_of_no_terms_and_of_one():
+    empty = CycloFrac.sum([], "v")
+    assert empty.is_zero() and empty.num.var == "v" and not empty.phi
+    t = SUM_TERMS[1]
+    for one in (CycloFrac.sum([t]), CycloFrac.sum([CycloFrac.zero(), t])):
+        assert one is not t and (one.num, one.phi) == (t.num, t.phi)
+        one.phi[5] += 1  # a copy: the term keeps its own multiset
+        assert 5 not in t.phi
+
+
+def test_cyclofrac_scale_exponents_splits_phi():
+    # Phi_3(v^2) = Phi_3(v) Phi_6(v), Phi_2(v^2) = Phi_4(v), Phi_1(v^2) = Phi_1 Phi_2
+    cf = CycloFrac(Poly([1]), {1: 1, 2: 2, 3: 1}).scale_exponents(2, "v")
+    assert cf.phi == Counter({1: 1, 2: 1, 4: 2, 3: 1, 6: 1})
+    assert cf.num.var == "v"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cyclofrac_scale_exponents_is_frobenius(k):
+    cf = CycloFrac(Poly([1, 2, 0, -1])).div_one_minus(3).div_one_minus(2)
+    cf = cf.div_pow_one_minus_var_pow(4, 2)
+    scaled = cf.scale_exponents(k, "v")
+    expect = frobenius(cf.reduce().to_ratfunc(), k)
+    assert scaled.to_ratfunc() == expect
+    assert scaled.to_ratfunc().var == "v"

@@ -6,7 +6,10 @@ survey example runs as `roots survey --max-n 10` (text format) here.
 """
 import contextlib
 import io
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from qzeta.cli import main
@@ -47,3 +50,25 @@ def test_readme_has_the_examples():
 
 def test_readme_cli_output_matches_golden():
     assert transcript() == GOLDEN.read_text()
+
+
+def golden_blocks():
+    """The golden transcript as {command: its "[exit k]" line and output}."""
+    blocks = GOLDEN.read_text().split("$ qzeta ")[1:]
+    return dict(block.split("\n", 1) for block in blocks)
+
+
+def test_optimized_interpreter_prints_the_same():
+    # under `python -O` every assert is gone, so no result may depend on one
+    golden = golden_blocks()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for command in (
+        "carlitz beta --n 4 --factored",
+        "hurwitz beta --n 2 --x 1/2",
+        "dirichlet beta-chi --modulus 4 --index 1 --n 2",
+    ):
+        run = subprocess.run(
+            [sys.executable, "-O", "-m", "qzeta.cli", *shlex.split(command)],
+            capture_output=True, text=True, env=env, cwd=ROOT,
+        )
+        assert f"[exit {run.returncode}]\n{run.stdout}" == golden[command]
