@@ -287,36 +287,22 @@ def apply_series(spec: OperatorSpec, P: Poly, order: int) -> TruncSeries:
     top = order // monos[0][0] if monos else 0  # the lowest monomial bounds c
     for a, c_a in kernel.items():
         for c in range(a, top + 1, M):  # [c/b] = (v^c - 1)/(v^b - 1)
-            powm = _int_pow_trunc(_bracket_series_ints(c, b, order), m, order)
+            powm = _bracket_power(c, b, m, order)
             _accumulate(coeffs, powm, monos, c, order, c_a)
     return TruncSeries(coeffs, order, b)
 
 
-def _bracket_series_ints(c: int, b: int, order: int) -> list[int]:
-    """Series of (v^c - 1)/(v^b - 1) = (1 - v^c) * sum v^(bi), truncated."""
-    out = [0] * (order + 1)
-    for i in range(0, order + 1, b):
-        out[i] += 1
-    for i in range(c, order + 1, b):
-        out[i] -= 1
-    return out
-
-
-def _int_mul_trunc(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for i, x in enumerate(a):
-        if x and i <= order:
-            for j, y in enumerate(b[: order - i + 1]):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _int_pow_trunc(base: list[int], m: int, order: int) -> list[int]:
-    result = [1] + [0] * order
+def _bracket_power(c: int, b: int, m: int, order: int) -> list[int]:
+    """Series of [c/b]^m = ((1 - v^c)/(1 - v^b))^m through v^order, in m
+    passes: each multiplies by 1 - v^c (one shifted subtraction) and
+    divides by 1 - v^b (one strided prefix sum)."""
+    out = [1] + [0] * order
     for _ in range(m):
-        result = _int_mul_trunc(result, base, order)
-    return result
+        for i in range(order, c - 1, -1):
+            out[i] -= out[i - c]
+        for i in range(b, order + 1):
+            out[i] += out[i - b]
+    return out
 
 
 def _accumulate(coeffs, powm, monos, c, order, scal=1):
@@ -357,7 +343,7 @@ def euler_product_apply(s: int, P: Poly, prime_bound: int, order: int) -> TruncS
         monos = [(i, c) for i, c in enumerate(result.coeffs) if not _is_zero_coeff(c)]
         n = p
         while n <= order:
-            powm = _int_pow_trunc(_bracket_series_ints(n, 1, order), m, order)
+            powm = _bracket_power(n, 1, m, order)
             _accumulate(acc, powm, monos, n, order)
             n *= p
         result = TruncSeries(acc, order, 1)
@@ -466,7 +452,9 @@ def numeric_apply(
 
     (C from P's coefficient magnitudes, M from bounds on |[y]| over the
     tail) falls below eps.  Raises rather than returning a silently
-    unconverged answer.
+    unconverged answer, and raises DomainError for an eps below the tail
+    plus a running first-order bound on the rounding error of the sum
+    (Higham, ch. 3-4, with a few ulps for each cmath exp and log).
     """
     _check_operand(P)
     if x is not None and chi is not None:
@@ -489,13 +477,14 @@ def numeric_apply(
     mag = max(lo ** (-s.real), hi ** (-s.real))
     M = mag * cmath.exp(abs(s.imag) * pi).real
     xf = float(x) if x is not None else 0.0
+    u, lq, err = 2.0**-53, abs(cmath.log(q0)), 0.0  # unit roundoff, |Log q0|, bound
     total = 0j
     n = 0 if x is not None else 1
     terms = 0
     while True:
         tail = C * M * aq ** (n + xf) / (1 - aq)
         if tail < eps and terms > 0:
-            return total
+            break
         if terms >= max_terms:
             raise ConvergenceError(
                 f"tail bound {tail:.3e} still above eps={eps:.3e} after {terms} terms"
@@ -504,11 +493,24 @@ def numeric_apply(
         qy = cmath.exp(y * cmath.log(q0)) if y != int(y) else q0 ** int(y)
         if x is None and chi is not None:
             a_n = complex(chi(n).to_complex())
+            e_a = 8 * u * chi.modulus * float(sum(map(abs, chi(n).coords)))
         else:
-            a_n = 1.0
+            a_n, e_a = 1.0, 0.0
         if a_n != 0:
             bracket = (qy - 1) / (q0 - 1)
             weight = cmath.exp(-s * cmath.log(bracket)) if s != 0 else 1.0
             total += a_n * P(qy) * weight
+            # relative errors of q0^y (by powering or by exp of y Log q0),
+            # [y] and [y]^-s (s times Log's error), all against the term's
+            # size with |P(q0^y)| replaced by sum |c_i| |q0^y|^i for Horner
+            e_q = 4 * u * (y * (1 + lq) + 2)
+            e_b = (e_q * abs(qy) + 2 * u) / abs(qy - 1) + 8 * u
+            e_w = abs(s) * (e_b + 8 * u * abs(cmath.log(bracket))) + 4 * u
+            e_p = (4 * P.degree + 11) * u + P.degree * e_q
+            size = abs(a_n * weight) * sum(c * abs(qy) ** i for i, c in enumerate(coeff_mags))
+            err += size * (e_a + e_w + e_p) + u * abs(total)
         n += 1
         terms += 1
+    if tail + err >= eps:
+        raise DomainError(f"eps={eps:.3e} is below tail {tail:.3e} + rounding bound {err:.3e}")
+    return total

@@ -4,7 +4,9 @@ Coefficients are Python ints / Fractions (the rational field) or CycRat
 values.  All polynomials arising here are dense in practice, so a plain
 coefficient list, lowest degree first, is the representation of choice.
 The variable tag is symbolic only: it names the indeterminate for
-rendering and never affects arithmetic.
+rendering and never affects arithmetic.  The hot exact paths (products
+with a rational factor, trial division by Phi_d) run on integer lanes
+(``split_lanes``).
 """
 from __future__ import annotations
 
@@ -12,7 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
 
-from .arith import clear_denominators, cyclotomic_int_coeffs, int_poly_mul
+from .arith import (clear_denominators, cyclotomic_int_coeffs, euler_phi,
+                    int_poly_divmod_monic, int_poly_mul)
 from .fields import CycRat, FieldMismatchError
 
 
@@ -141,10 +144,11 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(self.var)
-        if all(_is_rational_coeff(c) for c in a) and all(
-            _is_rational_coeff(c) for c in b
-        ):
-            return Poly(_mul_rational(a, b), self.var)
+        (la, da, ma), (lb, db, mb) = split_lanes(self), split_lanes(other)
+        if mb == 1:  # a rational factor multiplies each lane
+            return assemble_lanes([int_poly_mul(x, lb[0]) for x in la], da * db, ma, self.var)
+        if ma == 1:
+            return assemble_lanes([int_poly_mul(la[0], y) for y in lb], da * db, mb, self.var)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if _is_zero_coeff(x):
@@ -295,10 +299,9 @@ class Poly:
         return NotImplemented
 
     def field_key(self):
-        for c in self.coeffs:
-            key = _field_key(c)
-            if key != "rat":
-                return key
+        for c in self.coeffs:  # unified: a CycRat here has its field's conductor
+            if isinstance(c, CycRat):
+                return _field_key(c)
         return "rat"
 
 
@@ -387,17 +390,6 @@ def _to_fraction(c) -> Fraction:
     if isinstance(c, CycRat):
         return c.rational()
     return Fraction(c)
-
-
-def _mul_rational(a, b):
-    """Convolution over Q through cleared integer lists (fast path)."""
-    ia, da = clear_denominators(a)
-    ib, db = clear_denominators(b)
-    out = int_poly_mul(ia, ib)
-    d = da * db
-    if d == 1:
-        return out
-    return [Fraction(c, d) for c in out]
 
 
 # -- gcd -------------------------------------------------------------------
@@ -492,18 +484,58 @@ def divide_out_cyclotomic(p: Poly, limits) -> tuple[Poly, list[tuple[int, int]]]
     """Trial division of p by Phi_d, for each index d of ``limits`` in
     ascending order, as long as it divides and at most limits[d] times.
 
-    Returns the quotient and the (d, multiplicity) pairs divided out.
+    Returns the quotient and the (d, multiplicity) pairs divided out.  Phi_d
+    is monic over Z and the powers of zeta are a basis of Q(zeta_m)(q) over
+    Q(q), so Phi_d divides p exactly when it divides every integer lane.
     """
+    lanes, den, m = split_lanes(p)
     factors = []
     for d in sorted(limits):
-        phi_d = cyclotomic(d, p.var)
+        phi_d = cyclotomic_int_coeffs(d)
         mult = 0
         while mult < limits[d]:
-            quo, rem = divmod(p, phi_d)
-            if not rem.is_zero():
+            split = [int_poly_divmod_monic(lane, phi_d) for lane in lanes]
+            if any(any(rem) for _, rem in split):
                 break
-            p = quo
+            lanes = [quo for quo, _ in split]
             mult += 1
         if mult:
             factors.append((d, mult))
-    return p, factors
+    return (assemble_lanes(lanes, den, m, p.var) if factors else p), factors
+
+
+def cyclotomic_coprime(p: Poly, indices) -> bool:
+    """True when no Phi_d, d in ``indices``, divides the rational norm
+    prod_k sigma_k(p) over the units k mod m (sigma_k: zeta -> zeta^k): that
+    proves p coprime to each, as Phi_d is irreducible over Q and a common
+    root would be a root of the norm.  False only means "not certified"."""
+    lanes, _, m = split_lanes(p)
+    norm, dim = lanes, len(lanes)
+    for k in (k for k in range(2, m) if int_gcd(k, m) == 1):
+        # norm * sigma_k(p) mod Phi_m by Kronecker substitution zeta = x^L,
+        # with L past every lane product's degree
+        L = len(norm[0]) + len(lanes[0])
+        pa, pb, spread = [0] * (m * L), [0] * (m * L), [0] * (dim * L + 1)
+        for i, (x, y) in enumerate(zip(norm, lanes)):
+            pa[i * L:i * L + len(x)] = x
+            pb[i * k % m * L:i * k % m * L + len(y)] = y
+        spread[::L] = cyclotomic_int_coeffs(m)
+        rem = int_poly_divmod_monic(int_poly_mul(pa, pb), spread)[1]
+        norm = [rem[i * L:(i + 1) * L] for i in range(dim)]
+    return all(any(int_poly_divmod_monic(norm[0], cyclotomic_int_coeffs(d))[1]) for d in indices)
+
+
+def split_lanes(p: Poly) -> tuple[list[list[int]], int, int]:
+    """(lanes, den, m) with p = sum_i zeta_m^i lanes[i] / den, one integer
+    coefficient list per power of zeta; over Q, m = 1 with one lane."""
+    key = p.field_key()
+    m, dim = (1, 1) if key == "rat" else (key[1], euler_phi(key[1]))
+    ints, den = clear_denominators(p.coeffs if m == 1 else [x for c in p.coeffs for x in c.coords])
+    return ([ints] if dim == 1 else [ints[i::dim] for i in range(dim)]), den, m
+
+
+def assemble_lanes(lanes, den: int, m: int, var: str) -> Poly:
+    """The polynomial of split_lanes' triple; the lanes have equal lengths."""
+    if m == 1:
+        return Poly(lanes[0] if den == 1 else [Fraction(c, den) for c in lanes[0]], var)
+    return Poly([CycRat(m, [Fraction(c, den) for c in col]) for col in zip(*lanes)], var)

@@ -18,6 +18,7 @@ from .poly import (
     _coeff_inv,
     _is_zero_coeff,
     cyclotomic,
+    cyclotomic_coprime,
     divide_out_cyclotomic,
     poly_gcd,
 )
@@ -354,11 +355,15 @@ class CycloFrac:
 
         Cyclotomic products are monic, and over Q the trial division in
         reduce() is a complete gcd, so the pair is canonical as constructed.
+        Over Q(zeta_m) a Phi_d may split; the pair is canonical when the
+        norm certificate (``cyclotomic_coprime``) clears every Phi_d of the
+        denominator, and otherwise RatFunc's gcd reduces it.
         """
         if not self.reduced:
             return self.reduce().to_ratfunc()
         den = _phi_product(self.phi, self.num.var)
-        return RatFunc(self.num, den, _canonical=self.num.field_key() == "rat")
+        canonical = self.num.field_key() == "rat" or cyclotomic_coprime(self.num, self.phi)
+        return RatFunc(self.num, den, _canonical=canonical)
 
     def __repr__(self):
         return f"CycloFrac({self.num!r}, {dict(self.phi)})"

@@ -22,7 +22,7 @@ import mpmath as mp
 import numpy as np
 
 from .arith import clear_denominators
-from .poly import Poly, divide_out_cyclotomic
+from .poly import Poly, divide_out_cyclotomic, split_lanes
 from .ratfunc import RatFunc
 
 
@@ -318,10 +318,7 @@ def beta_root_survey(
     reports = []
     for n in range(2, n_max + 1):
         value: RatFunc = (beta_chi(chi, n) if chi is not None else beta(n)).value
-        num = value.num
-        if num.field_key() != "rat":
-            num = num.map_coeffs(lambda c: c.rational())
-        coeffs, _ = clear_denominators(num.coeffs)
+        coeffs = split_lanes(value.num)[0][0]  # real characters: one rational lane
         while coeffs and coeffs[0] == 0:
             coeffs.pop(0)
         stripped = Poly(coeffs)

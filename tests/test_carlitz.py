@@ -1,4 +1,5 @@
 """Bernoulli-Carlitz fractions and the verification pipelines."""
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -16,7 +17,7 @@ from qzeta.carlitz import (
     verify_theorem,
 )
 from qzeta.characters import character, characters
-from qzeta.operators import DomainError, OperatorSpec, apply_geometric
+from qzeta.operators import DomainError, OperatorSpec, apply_delta, apply_geometric
 from qzeta.poly import Poly, cyclotomic, poly_gcd
 from qzeta.quantum import quantum_value
 from qzeta.ratfunc import RatFunc
@@ -256,3 +257,55 @@ def test_beta_values_are_reduced():
         v = beta(n).value
         assert poly_gcd(v.num, v.den).degree == 0
         assert v.den.is_monic()
+
+
+# sha256 of chi_transcript(), captured before trial division and the
+# canonical form over Q(zeta_m) ran on integer lanes
+CHI_TRANSCRIPT_SHA256 = "90fda3d4963cd1e1741801f4358a9115962e42e423cfc2bd5fed26f25042628f"
+
+
+def chi_transcript() -> str:
+    """beta_chi and both exact backends' L_q(chi, 1-n)(q - (n+1)q^2), as
+    printed, for every non-trivial character mod 3, 4, 5, 7, 8, 12, n <= 4."""
+    lines = []
+    for N in (3, 4, 5, 7, 8, 12):
+        for chi in characters(N):
+            if chi.is_trivial():
+                continue
+            for n in range(5):
+                lines.append(f"beta_chi {N} {chi.index} {n}: {beta_chi(chi, n).value}")
+                if n == 0:
+                    continue
+                spec = OperatorSpec.dirichlet_l(1 - n, chi)
+                P = Poly([0, 1, -(n + 1)])
+                lines.append(f"geometric {N} {chi.index} {n}: {apply_geometric(spec, P).value}")
+                lines.append(f"delta {N} {chi.index} {n}: {apply_delta(spec, P).value}")
+    return "\n".join(lines)
+
+
+def test_character_values_are_pinned():
+    assert hashlib.sha256(chi_transcript().encode()).hexdigest() == CHI_TRANSCRIPT_SHA256
+
+
+def test_complex_characters_divide_nothing_over_cyclotomic_fields(monkeypatch):
+    # the benchmark's six complex characters (order 4 mod 5, 3 and 6 mod 7):
+    # trial division and the canonical form run on integer lanes, and the
+    # norm certificate spares them the gcd fallback
+    calls = []
+    divmod_ = Poly.__divmod__
+
+    def counting(self, other):
+        if self.field_key() != "rat" or getattr(other, "field_key", lambda: "rat")() != "rat":
+            calls.append((self, other))
+        return divmod_(self, other)
+
+    monkeypatch.setattr(Poly, "__divmod__", counting)
+    beta_chi.cache_clear()
+    chars = {(5, 1): 3, (5, 3): 3, (7, 1): 2, (7, 2): 2, (7, 4): 2, (7, 5): 2}
+    for (N, index), top in chars.items():
+        chi = character(N, index)
+        assert chi.order > 2
+        for n in range(1, top + 1):
+            for backend in ("geometric", "delta"):
+                assert verify_chi(chi, n, backend).passed
+    assert calls == []

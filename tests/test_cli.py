@@ -206,6 +206,13 @@ def test_zeta_numeric(capsys):
     assert abs(doc["re"] - 4 / 3) < 1e-11 and abs(doc["im"]) < 1e-12
 
 
+def test_zeta_numeric_refuses_an_eps_it_cannot_certify(capsys):
+    code, out, err = run(
+        capsys, "zeta", "numeric", "--s", "0", "--q0", "0.4", "--poly", "q", "--eps", "1e-300"
+    )
+    assert code != 0 and out == "" and "rounding bound" in err
+
+
 def test_lemma_commute(capsys):
     code, out, _ = run(
         capsys, "lemma", "commute-check", "--max-mn", "3", "--s", "-2", "--r-max", "2"

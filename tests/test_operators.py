@@ -10,6 +10,7 @@ from qzeta.operators import (
     ConvergenceError,
     DomainError,
     OperatorSpec,
+    _bracket_power,
     _kernel,
     apply_delta,
     apply_geometric,
@@ -152,6 +153,22 @@ def test_euler_product_all_small_indices():
     assert got == TruncSeries([0, 1, 1, 1, 1, 1, 1, 1], 7)
 
 
+@pytest.mark.parametrize(
+    "c, b, m, order",
+    [(1, 1, 3, 12), (3, 2, 4, 30), (5, 2, 0, 10), (7, 3, 6, 40), (45, 1, 2, 40), (2, 5, 5, 25)],
+)
+def test_bracket_power_matches_schoolbook(c, b, m, order):
+    base = [0] * (order + 1)  # [c/b] = (1 - v^c) * sum_i v^(bi), truncated
+    for i in range(0, order + 1, b):
+        base[i] += 1
+    for i in range(c, order + 1, b):
+        base[i] -= 1
+    want = [1] + [0] * order
+    for _ in range(m):
+        want = [sum(want[j] * base[k - j] for j in range(k + 1)) for k in range(order + 1)]
+    assert _bracket_power(c, b, m, order) == want
+
+
 @pytest.mark.parametrize("s", [0, -1, -2])
 def test_euler_product_equals_series(s):
     assert euler_product_apply(s, Q, 40, 40) == apply_series(
@@ -236,6 +253,16 @@ def test_numeric_domain_checks():
         numeric_apply(0, 0.5, Poly([1, 1]), 1e-10)
     with pytest.raises(ConvergenceError):
         numeric_apply(0, 0.99999, Q, 1e-14, max_terms=10)
+
+
+def test_numeric_refuses_an_eps_below_its_rounding_bound():
+    # the tail bound reaches 1e-300, but the double sum of q0^n is only
+    # good to about 1e-16 of 2/3
+    with pytest.raises(DomainError):
+        numeric_apply(0, 0.4, Q, 1e-300)
+    assert abs(numeric_apply(0, 0.4, Q, 1e-12) - 2 / 3) <= 1e-12
+    with pytest.raises(ConvergenceError):  # max_terms is decided first
+        numeric_apply(0, 0.99999, Q, 1e-300, max_terms=10)
 
 
 def test_numeric_complex_s_and_character():

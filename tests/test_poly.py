@@ -3,11 +3,19 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import polys
 from qzeta.arith import divisors, euler_phi, factorize
 from qzeta.fields import CycRat, FieldMismatchError
-from qzeta.poly import Poly, cyclotomic, poly_gcd
+from qzeta.poly import (
+    Poly,
+    assemble_lanes,
+    cyclotomic,
+    divide_out_cyclotomic,
+    poly_gcd,
+    split_lanes,
+)
 
 
 def test_construction_trims_and_rejects_floats():
@@ -126,3 +134,61 @@ def test_conductor_one_cycrat_coefficients_are_rational():
     assert p.coeffs == (2, 1) and all(isinstance(c, Fraction) for c in p.coeffs)
     assert poly_gcd(p, Poly([2, 1])) == Poly([2, 1])
     assert Poly([CycRat(1, 1), CycRat(4, [0, 1])]).field_key() == ("cyc", 4)
+
+
+def _divmod_route(p, limits):
+    """Trial division by Phi_d through Poly.__divmod__, coefficient by
+    coefficient in p's own field: the reference for the lane kernel."""
+    factors = []
+    for d in sorted(limits):
+        mult = 0
+        while mult < limits[d]:
+            quo, rem = divmod(p, cyclotomic(d, p.var))
+            if not rem.is_zero():
+                break
+            p, mult = quo, mult + 1
+        if mult:
+            factors.append((d, mult))
+    return p, factors
+
+
+@st.composite
+def planted_products(draw):
+    """(p, limits) with p = sum_i zeta_m^i A_i prod_d Phi_d^e(d, i) over Q
+    (m = 1) or Q(zeta_m): each power of zeta carries its own planted
+    exponents, so Phi_d may divide some lanes of p and not others."""
+    m = draw(st.sampled_from([1, 3, 4, 5, 7, 8, 12]))
+    ds = draw(st.lists(st.integers(1, 12), max_size=3, unique=True))
+    fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    p = Poly.zero()
+    for i in range(euler_phi(m)):
+        lane = Poly(draw(st.lists(fracs, min_size=1, max_size=4)))
+        for d in ds:
+            lane = lane * cyclotomic(d) ** draw(st.integers(0, 2))
+        p = p + lane * (CycRat.zeta_power(m, i) if m > 1 else 1)
+    return p, {d: draw(st.integers(0, 3)) for d in ds}
+
+
+@given(planted_products())
+def test_lane_trial_division_matches_divmod(case):
+    p, limits = case
+    assert divide_out_cyclotomic(p, limits) == _divmod_route(p, limits)
+
+
+@given(planted_products(), polys())
+def test_lane_products_match_the_convolution(case, r):
+    # a rational factor multiplies each lane of a Q(zeta_m) polynomial
+    p, _ = case
+    out = [0] * max(len(p.coeffs) + len(r.coeffs) - 1, 0)
+    for i, x in enumerate(p.coeffs):
+        for j, y in enumerate(r.coeffs):
+            out[i + j] = out[i + j] + x * y
+    assert p * r == Poly(out) and r * p == Poly(out)
+
+
+def test_lanes_round_trip():
+    i = CycRat.zeta_power(4, 1)
+    for p in (Poly([Fraction(1, 2), 0, 3]), Poly([i, Fraction(2, 3), i * i + 5]), Poly([])):
+        lanes, den, m = split_lanes(p)
+        assert assemble_lanes(lanes, den, m, p.var) == p
+    assert split_lanes(Poly([i, Fraction(1, 2)])) == ([[0, 1], [2, 0]], 2, 4)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 
 from conftest import ratfuncs
-from qzeta.poly import Poly, cyclotomic, poly_gcd
+from qzeta.fields import CycRat
+from qzeta.poly import Poly, cyclotomic, cyclotomic_coprime, poly_gcd
 from qzeta.quantum import frobenius
 from qzeta.ratfunc import CycloFrac, PoleError, RatFunc
 
@@ -182,3 +183,22 @@ def test_cyclofrac_scale_exponents_is_frobenius(k):
     expect = frobenius(cf.reduce().to_ratfunc(), k)
     assert scaled.to_ratfunc() == expect
     assert scaled.to_ratfunc().var == "v"
+
+
+def test_split_cyclotomic_factor_falls_back_to_gcd():
+    # over Q(i), Phi_4 = (q - i)(q + i): reduce() cannot divide it out of
+    # (q - i) A, the norm certificate refuses, and the gcd cancels q - i
+    i = CycRat.zeta_power(4, 1)
+    A = Poly([3, i, 1])
+    num = Poly([-i, 1]) * A
+    phi = Counter({1: 1, 4: 1})
+    assert not cyclotomic_coprime(num, phi)
+    assert cyclotomic_coprime(A, phi)
+    got = CycloFrac(num, phi).reduce().to_ratfunc()
+    want = RatFunc(num, cyclotomic(1) * cyclotomic(4))
+    assert (got.num, got.den) == (want.num, want.den) == (A, Poly([-1, 1]) * Poly([i, 1]))
+
+
+def test_norm_certificate_over_q_is_trial_division():
+    assert cyclotomic_coprime(Poly([1, 1, 1]), [1, 2, 4, 6])
+    assert not cyclotomic_coprime(Poly([1, 1, 1]) * Poly([2, 1]), [3])
