@@ -1,6 +1,7 @@
 """Elementary integer arithmetic shared across the package, including the
 polynomial kernels on integer coefficient lists (lowest degree first) that
-``poly``, ``fields`` and ``roots`` share; it imports nothing from the package.
+``poly``, ``fields`` and ``roots`` share, among them reduction modulo Phi_m
+and the Galois norm; it imports nothing from the package.
 
 Everything here is deterministic, exact, and cheap at the scales the
 library targets (moduli and cyclotomic indices in the low hundreds).
@@ -131,6 +132,37 @@ def int_poly_divmod_monic(num, den) -> tuple[list[int], list[int]]:
             for j in range(dn):  # den[dn] = 1 only cancels rem[i] itself
                 rem[i - dn + j] -= c * den[j]
     return quo, rem[:dn]
+
+
+def cyclotomic_reduce(ints, m: int, L: int = 1) -> list[int]:
+    """ints modulo Phi_m(x^L), phi(m) * L long.  With zeta = x^L (Kronecker
+    substitution) ints holds sum_i zeta^i lane_i(t), each lane shorter than
+    L, and the reduction runs lane by lane on Phi_m's nonzero coefficients."""
+    phi = cyclotomic_int_coeffs(m)
+    top = (len(phi) - 1) * L
+    taps = [(j * L - top, f) for j, f in enumerate(phi[:-1]) if f]
+    out = list(ints) + [0] * max(top - len(ints), 0)
+    for i in range(len(out) - 1, top - 1, -1):
+        c = out[i]
+        if c:
+            for off, f in taps:
+                out[i + off] -= c * f
+    return out[:top]
+
+
+def cyclotomic_norm(a, m: int, L: int = 1) -> tuple[list[int], list[int]]:
+    """(conj, norm) for a in the form of cyclotomic_reduce: conj is the
+    product of the Galois conjugates sigma_k(a) (zeta -> zeta^k) over the
+    units k mod m other than 1, and norm = a * conj, a rational multiple of
+    zeta^0 (its first lane).  L must exceed phi(m) times a's lane degree."""
+    conj = [1]
+    for k in range(2, m):
+        if gcd(k, m) == 1:
+            sigma = [0] * (m * L)
+            for i, c in enumerate(a):  # lane i // L moves to lane (i // L) * k
+                sigma[i // L * k % m * L + i % L] = c
+            conj = cyclotomic_reduce(int_poly_mul(conj, sigma), m, L)
+    return conj, cyclotomic_reduce(int_poly_mul(a, conj), m, L)
 
 
 def phi_factor_indices(k: int, b: int) -> list[int]:

@@ -12,16 +12,13 @@ conjugates over the norm.  Both types are immutable and thread-safe.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd
-from operator import mul
 from typing import Union
 
 from .arith import (
     clear_denominators,
-    cyclotomic_int_coeffs,
+    cyclotomic_norm,
+    cyclotomic_reduce,
     euler_phi,
-    int_poly_divmod_monic,
     int_poly_mul,
 )
 
@@ -161,17 +158,9 @@ class CycRat:
             raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
         if self.is_rational():
             return CycRat(self.m, 1 / self.coords[0])
-        m = self.m
-        units = (k for k in range(2, m) if gcd(k, m) == 1)
-        conj = reduce(mul, (self._conjugate(k) for k in units))
-        return conj * (1 / (self * conj).rational())
-
-    def _conjugate(self, k: int) -> "CycRat":
-        """sigma_k(self) for k a unit mod m: every z^i becomes z^(ik mod m)."""
-        vec = [Fraction(0)] * self.m
-        for i, c in enumerate(self.coords):
-            vec[i * k % self.m] = c
-        return CycRat(self.m, vec)
+        ints, den = clear_denominators(self.coords)
+        conj, norm = cyclotomic_norm(ints, self.m)  # self = ints/den: conj/norm * den
+        return CycRat(self.m, [Fraction(c * den, norm[0]) for c in conj])
 
     def __truediv__(self, other):
         a, b = self._coerce(other)
@@ -243,6 +232,4 @@ class CycRat:
 
 def _reduce_mod_phi(ints: list[int], den: int, m: int) -> list[Fraction]:
     """Coordinates of (sum_i ints[i] z^i) / den modulo Phi_m."""
-    _, rem = int_poly_divmod_monic(ints, cyclotomic_int_coeffs(m))
-    rem += [0] * (euler_phi(m) - len(rem))
-    return [Fraction(c, den) for c in rem]
+    return [Fraction(c, den) for c in cyclotomic_reduce(ints, m)]

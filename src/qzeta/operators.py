@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import comb, pi
 
 from .arith import primes_upto
@@ -451,10 +452,12 @@ def numeric_apply(
         |tail(K)| <= C * M * |q0|^(K+1+x) / (1 - |q0|)
 
     (C from P's coefficient magnitudes, M from bounds on |[y]| over the
-    tail) falls below eps.  Raises rather than returning a silently
-    unconverged answer, and raises DomainError for an eps below the tail
-    plus a running first-order bound on the rounding error of the sum
-    (Higham, ch. 3-4, with a few ulps for each cmath exp and log).
+    tail) plus a running rounding estimate falls below eps.  The estimate
+    is first order (Higham, ch. 3-4) with assumed ulp constants for each
+    cmath exp and log, which CPython does not document, so it is not
+    rigorous.  Raises ConvergenceError after max_terms rather than return
+    a silently unconverged answer, and DomainError once the tail is below
+    eps but the estimate is not.
     """
     _check_operand(P)
     if x is not None and chi is not None:
@@ -479,16 +482,16 @@ def numeric_apply(
     xf = float(x) if x is not None else 0.0
     u, lq, err = 2.0**-53, abs(cmath.log(q0)), 0.0  # unit roundoff, |Log q0|, bound
     total = 0j
-    n = 0 if x is not None else 1
-    terms = 0
-    while True:
+    for terms in count():
+        n = terms if x is not None else terms + 1
         tail = C * M * aq ** (n + xf) / (1 - aq)
-        if tail < eps and terms > 0:
-            break
+        if terms and tail < eps <= err:
+            raise DomainError(f"eps={eps:.3e} is not above the rounding bound {err:.3e}")
+        if terms and tail + err < eps:
+            return total
         if terms >= max_terms:
-            raise ConvergenceError(
-                f"tail bound {tail:.3e} still above eps={eps:.3e} after {terms} terms"
-            )
+            raise ConvergenceError(f"tail bound {tail:.3e} + rounding bound {err:.3e} "
+                                   f"still above eps={eps:.3e} after {terms} terms")
         y = n + xf
         qy = cmath.exp(y * cmath.log(q0)) if y != int(y) else q0 ** int(y)
         if x is None and chi is not None:
@@ -509,8 +512,3 @@ def numeric_apply(
             e_p = (4 * P.degree + 11) * u + P.degree * e_q
             size = abs(a_n * weight) * sum(c * abs(qy) ** i for i, c in enumerate(coeff_mags))
             err += size * (e_a + e_w + e_p) + u * abs(total)
-        n += 1
-        terms += 1
-    if tail + err >= eps:
-        raise DomainError(f"eps={eps:.3e} is below tail {tail:.3e} + rounding bound {err:.3e}")
-    return total

@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
 
-from .arith import (clear_denominators, cyclotomic_int_coeffs, euler_phi,
-                    int_poly_divmod_monic, int_poly_mul)
+from .arith import (clear_denominators, cyclotomic_int_coeffs, cyclotomic_norm,
+                    euler_phi, int_poly_divmod_monic, int_poly_mul)
 from .fields import CycRat, FieldMismatchError
 
 
@@ -144,11 +144,10 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(self.var)
-        (la, da, ma), (lb, db, mb) = split_lanes(self), split_lanes(other)
-        if mb == 1:  # a rational factor multiplies each lane
-            return assemble_lanes([int_poly_mul(x, lb[0]) for x in la], da * db, ma, self.var)
-        if ma == 1:
-            return assemble_lanes([int_poly_mul(la[0], y) for y in lb], da * db, mb, self.var)
+        if "rat" in (self.field_key(), other.field_key()):  # multiply each lane
+            (la, da, ma), (lb, db, mb) = split_lanes(self), split_lanes(other)
+            lanes = [int_poly_mul(x, y) for x in la for y in lb]  # one side has one lane
+            return assemble_lanes(lanes, da * db, max(ma, mb), self.var)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if _is_zero_coeff(x):
@@ -225,9 +224,6 @@ class Poly:
             return self
         inv = _coeff_inv(self.leading())
         return Poly([c * inv for c in self.coeffs], self.var)
-
-    def map_coeffs(self, f) -> "Poly":
-        return Poly([f(c) for c in self.coeffs], self.var)
 
     def scale_exponents(self, k: int) -> "Poly":
         """Substitute var -> var^k for a positive integer k."""
@@ -510,19 +506,10 @@ def cyclotomic_coprime(p: Poly, indices) -> bool:
     proves p coprime to each, as Phi_d is irreducible over Q and a common
     root would be a root of the norm.  False only means "not certified"."""
     lanes, _, m = split_lanes(p)
-    norm, dim = lanes, len(lanes)
-    for k in (k for k in range(2, m) if int_gcd(k, m) == 1):
-        # norm * sigma_k(p) mod Phi_m by Kronecker substitution zeta = x^L,
-        # with L past every lane product's degree
-        L = len(norm[0]) + len(lanes[0])
-        pa, pb, spread = [0] * (m * L), [0] * (m * L), [0] * (dim * L + 1)
-        for i, (x, y) in enumerate(zip(norm, lanes)):
-            pa[i * L:i * L + len(x)] = x
-            pb[i * k % m * L:i * k % m * L + len(y)] = y
-        spread[::L] = cyclotomic_int_coeffs(m)
-        rem = int_poly_divmod_monic(int_poly_mul(pa, pb), spread)[1]
-        norm = [rem[i * L:(i + 1) * L] for i in range(dim)]
-    return all(any(int_poly_divmod_monic(norm[0], cyclotomic_int_coeffs(d))[1]) for d in indices)
+    L = len(lanes) * (len(lanes[0]) - 1) + 1  # past the norm's degree in q
+    ints = [c for lane in lanes for c in lane + [0] * (L - len(lane))]  # zeta = x^L
+    norm = cyclotomic_norm(ints, m, L)[1][:L]
+    return all(any(int_poly_divmod_monic(norm, cyclotomic_int_coeffs(d))[1]) for d in indices)
 
 
 def split_lanes(p: Poly) -> tuple[list[list[int]], int, int]:

@@ -1,5 +1,6 @@
 """Scalar fields: rationals and cyclotomic elements."""
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qzeta.arith import euler_phi
+from qzeta.arith import (cyclotomic_int_coeffs, cyclotomic_norm, cyclotomic_reduce, euler_phi,
+                         int_poly_divmod_monic)
 from qzeta.fields import CycRat, FieldMismatchError, Rat
 
 
@@ -129,3 +131,27 @@ def test_cycrat_kernel_matches_complex_embedding(m, data):
     z = cmath.exp(2j * cmath.pi / m)
     unreduced = sum(float(c) * z**i for i, c in enumerate(raw))
     assert _close(CycRat(m, raw).to_complex(), unreduced)
+
+
+@given(st.sampled_from([1, 3, 4, 5, 7, 8, 12]), st.integers(0, 2), st.data())
+def test_lane_kernels_match_dense_division_and_the_complex_embedding(m, deg, data):
+    # a = sum_i zeta^i lane_i(t), lanes of degree deg, packed with zeta = x^L
+    dim = euler_phi(m)
+    L = dim * deg + 1
+    lanes = [data.draw(st.lists(st.integers(-3, 3), min_size=deg + 1, max_size=deg + 1))
+             for _ in range(dim)]
+    a = [c for lane in lanes for c in lane + [0] * (L - deg - 1)]
+    spread = [0] * (dim * L + 1)  # Phi_m(x^L), dense
+    spread[::L] = cyclotomic_int_coeffs(m)
+    longer = a + data.draw(st.lists(st.integers(-3, 3), max_size=2 * L))
+    want = int_poly_divmod_monic(longer, spread)[1]
+    assert cyclotomic_reduce(longer, m, L) == want + [0] * (dim * L - len(want))
+    conj, norm = cyclotomic_norm(a, m, L)
+    assert not any(norm[L:])  # the norm is rational in zeta
+    t = 0.7
+    want = 1
+    for k in (k for k in range(1, m + 1) if math.gcd(k, m) == 1):
+        z = cmath.exp(2j * cmath.pi * k / m)
+        want *= sum(z**i * sum(c * t**j for j, c in enumerate(lane)) for i, lane in enumerate(lanes))
+    got = sum(c * t**j for j, c in enumerate(norm[:L]))
+    assert abs(got - want) <= 1e-6 * max(1, abs(want))

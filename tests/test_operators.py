@@ -265,6 +265,12 @@ def test_numeric_refuses_an_eps_below_its_rounding_bound():
         numeric_apply(0, 0.99999, Q, 1e-300, max_terms=10)
 
 
+def test_numeric_sums_on_while_tail_plus_rounding_is_above_eps():
+    # at q0 = 0.9 the tail first drops below 1e-12 while tail plus the
+    # rounding bound (about 3e-13) is still above it; a few more terms fix it
+    assert abs(numeric_apply(0, 0.9, Q, 1e-12) - 9) <= 1e-12
+
+
 def test_numeric_complex_s_and_character():
     # smoke: complex s on the principal branch, and a character twist
     v = numeric_apply(0.5 + 1j, 0.4, Q, 1e-10)
