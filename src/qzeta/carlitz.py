@@ -25,6 +25,7 @@ from .operators import (
     apply_geometric,
     apply_series,
     _chi_scalar,
+    _is_identity,
 )
 from .poly import Poly, branch_var, divide_out_cyclotomic
 from .quantum import quantum_value
@@ -95,7 +96,7 @@ _beta_rf: list[RatFunc] = []
 def _extend_beta_table(n: int) -> None:
     with _table_lock:
         if not _beta_cf:
-            one = CycloFrac.from_scalar(1)
+            one = CycloFrac(1)
             _beta_cf.append(one)
             _beta_rf.append(RatFunc.one())
         while len(_beta_cf) <= n:
@@ -103,7 +104,7 @@ def _extend_beta_table(n: int) -> None:
             acc = _beta_sum(k, upto=k - 1)
             rhs = -acc.shift(1)  # -q * sum
             if k == 1:
-                rhs = rhs + CycloFrac.from_scalar(1)
+                rhs = rhs + CycloFrac(1)
             bk = rhs.div_pow_one_minus_var_pow(k + 1, 1).reduce()
             _beta_cf.append(bk)
             _beta_rf.append(bk.to_ratfunc())
@@ -164,15 +165,11 @@ def genfun_check(order: int) -> CheckReport:
     if order < 0:
         raise ValueError("order must be >= 0")
     _extend_beta_table(order)
+    edge = {0: Poly([1, -1]), 1: Poly([-1])}  # the 1 - q and the -t of the right side
     items = []
     for n in range(order + 1):
-        rhs = _beta_sum(n, upto=n).shift(1)  # q * sum_{i<=n} C(n,i) q^i beta_i
-        if n == 0:
-            rhs = rhs + CycloFrac(Poly([1, -1]))  # + (1 - q)
-        if n == 1:
-            rhs = rhs + CycloFrac.from_scalar(-1)
-        diff = (_beta_cf[n] + (-rhs)).reduce()
-        items.append((f"t^{n}", diff.is_zero()))
+        rhs = [_beta_sum(n, upto=n).shift(1), CycloFrac(edge.get(n, 0))]
+        items.append((f"t^{n}", _is_identity(rhs, _beta_cf[n])))
     passed = all(ok for _, ok in items)
     return CheckReport(f"generating-function equation through t^{order}", passed, items)
 
@@ -271,8 +268,7 @@ def verify_hurwitz(
         return CheckReport(
             name, None, note="s = 1 - n = 1 > 0: series/numeric mode only"
         )
-    a = x.numerator
-    lhs = RatFunc.from_poly(Poly.monomial(a, 1, branch_var(x.denominator))) * beta_poly(n, x).value
+    lhs = _beta_poly_cf(n, x).shift(x.numerator).reduce().to_ratfunc()
     spec = OperatorSpec.hurwitz(1 - n, x)
     return _check_relation(name, lhs, spec, _theorem_operand(n), backend, series_order)
 

@@ -343,7 +343,7 @@ def _cmd_zeta_apply(args) -> int:
         print(f"{spec} applied to {P}:")
         print(f"  {result.value}")
         if result.branch > 1:
-            print(f"  (in v = q^(1/{result.branch}))")
+            print(f"  (in {branch_var(result.branch)} = q^(1/{result.branch}))")
     return 0
 
 

@@ -24,12 +24,12 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
-from math import comb, pi
+from math import pi
 
 from .arith import primes_upto
 from .characters import DirichletCharacter
 from .poly import Poly, _is_zero_coeff, branch_var
-from .quantum import frobenius, quantum_value
+from .quantum import quantum_value
 from .ratfunc import CycloFrac, RatFunc
 from .series import TruncSeries
 
@@ -152,23 +152,24 @@ def apply_geometric(spec: OperatorSpec, P: Poly) -> ApplyResult:
       L(chi):     (q-1)^-m sum_j C(m,j)(-1)^(m-j)
                     sum_{u<=N} chi(u) q^(u(j+r)) / (1 - q^(N(j+r)))
 
-    assembled exactly over cyclotomic denominators and reduced at the end.
+    collected by exponent e = j + r, assembled exactly over cyclotomic
+    denominators and reduced at the end.
     """
-    m = -spec.s
     _check_operand(P)
+    return ApplyResult(_geometric(spec, P).reduce().to_ratfunc(), spec.branch, "geometric")
+
+
+def _geometric(spec: OperatorSpec, P: Poly) -> CycloFrac:
+    """apply_geometric's value on branch spec.branch, unreduced."""
+    m = -spec.s
     b = spec.branch
     var = branch_var(b)
     kernel = _kernel(spec)
-    total = CycloFrac.zero(var)
-    for r, c_r in enumerate(P.coeffs):
-        if _is_zero_coeff(c_r):
-            continue
-        for j in range(m + 1):
-            w = comb(m, j) * (-1) ** (m - j)
-            term = _geometric_piece(kernel, j + r, var)
-            total = total + term.times_scalar(c_r * w)
-    total = total.div_pow_one_minus_var_pow(b, m)
-    return ApplyResult(total.reduce().to_ratfunc(), b, "geometric")
+    # the weight of q^e is the coefficient of q^e in P(q) (q - 1)^m
+    weights = (P * Poly([-1, 1]) ** m).coeffs
+    terms = (_geometric_piece(kernel, e, var).times_scalar(w)
+             for e, w in enumerate(weights) if not _is_zero_coeff(w))
+    return CycloFrac.sum(terms, var).div_pow_one_minus_var_pow(b, m)
 
 
 def _kernel(spec: OperatorSpec) -> tuple[dict[int, object], int]:
@@ -198,54 +199,33 @@ def _geometric_piece(kernel, e: int, var: str) -> CycloFrac:
 # ---------------------------------------------------------------------------
 
 
-class _DeltaKernel:
-    """Iterated q-difference of f = (sum_a c_a w^a)/(1 - w^M).
+def _delta_numerators(kernel, m: int, var: str) -> list[Poly]:
+    """Numerators a_j(v) of Delta^m f for f = sum_a c_a w^a / (1 - w^M), in
+    w = q^(r/b) and v = q^(1/b).  Every Delta^k f has the denominator
+    (v^b - 1)^k prod_{i<=k} (1 - v^(iM) w^M), so a step, Delta f(w) =
+    (f(vw) - f(w)) / (q - 1), only updates the numerators,
 
-    Every operator kind produces such an f in the two-variable picture
-    (w = q^(r/branch)); each Delta step keeps the denominator in the fixed
-    factored shape prod_{i<=k} (1 - v^(iM) w^M) and updates the numerator by
+        a'_j = (v^j - 1) a_j + (v^((k+1)M) - v^(j-M)) a_(j-M),
 
-        A' = [A(vw)(1 - w^M) - A(w)(1 - v^((k+1)M) w^M)] / (q - 1),
+    and 1/(q - 1) = 1/(v^b - 1) joins the denominator."""
+    coeffs, M = kernel
+    nums = [Poly([coeffs.get(j, 0)], var) for j in range(max(coeffs) + 1)]
+    for k in range(m):
+        out = [a.shift(j) - a for j, a in enumerate(nums)] + [Poly.zero(var)] * M
+        for j, a in enumerate(nums):
+            out[j + M] = out[j + M] + a.shift((k + 1) * M) - a.shift(j)
+        nums = out
+    return nums
 
-    with numerator coefficients carried as fractions over cyclotomic
-    denominators.  No general gcd is ever needed along the way.
-    """
 
-    def __init__(self, coeffs: dict[int, object], M: int, branch: int, var: str):
-        self.M = M
-        self.branch = branch
-        self.var = var
-        self.k = 0
-        top = max(coeffs) if coeffs else 0
-        self.num = [CycloFrac.zero(var) for _ in range(top + 1)]
-        for a, c in coeffs.items():
-            self.num[a] = CycloFrac.from_scalar(c, var)
-
-    def step(self) -> None:
-        M, b = self.M, self.branch
-        n = len(self.num)
-        out = [CycloFrac.zero(self.var) for _ in range(n + M)]
-        t = (self.k + 1) * M
-        vt = Poly.monomial(t, 1, self.var)
-        for j, cf in enumerate(self.num):
-            if cf.is_zero():
-                continue
-            shifted = cf.shift(j)  # coefficient of (vw)^j picks up v^j
-            out[j] = out[j] + shifted - cf
-            out[j + M] = out[j + M] - shifted + cf.times_poly(vt)
-        self.num = [c.div_pow_one_minus_var_pow(b, 1) for c in out]
-        while self.num and self.num[-1].is_zero():
-            self.num.pop()
-        self.k += 1
-
-    def eval_at(self, r: int) -> CycloFrac:
-        acc = CycloFrac.zero(self.var)
-        for j, cf in enumerate(self.num):
-            if not cf.is_zero():
-                acc = acc + cf.shift(r * j)
-        for i in range(self.k + 1):
-            acc = acc.div_one_minus(self.M * (i + r))
-        return acc
+def _delta_at(nums: list[Poly], M: int, b: int, m: int, r: int) -> CycloFrac:
+    """Delta^m f at w = v^r: sum_j a_j v^(rj) over
+    (v^b - 1)^m prod_{i<=m} (1 - v^((i+r)M))."""
+    out = CycloFrac(sum((a.shift(r * j) for j, a in enumerate(nums)), Poly.zero(nums[0].var)))
+    out = out.div_pow_one_minus_var_pow(b, m)
+    for i in range(m + 1):
+        out = out.div_one_minus((i + r) * M)
+    return out
 
 
 def apply_delta(spec: OperatorSpec, P: Poly) -> ApplyResult:
@@ -254,15 +234,11 @@ def apply_delta(spec: OperatorSpec, P: Poly) -> ApplyResult:
     every monomial of P.  Agrees with apply_geometric exactly."""
     m = -spec.s
     _check_operand(P)
-    kern = _DeltaKernel(*_kernel(spec), spec.branch, branch_var(spec.branch))
-    for _ in range(m):
-        kern.step()
-    total = CycloFrac.zero(kern.var)
-    for r, c_r in enumerate(P.coeffs):
-        if _is_zero_coeff(c_r):
-            continue
-        total = total + kern.eval_at(r).times_scalar(c_r)
-    return ApplyResult(total.reduce().to_ratfunc(), spec.branch, "delta")
+    b, var, kernel = spec.branch, branch_var(spec.branch), _kernel(spec)
+    nums = _delta_numerators(kernel, m, var)
+    values = (_delta_at(nums, kernel[1], b, m, r).times_scalar(c)
+              for r, c in enumerate(P.coeffs) if not _is_zero_coeff(c))
+    return ApplyResult(CycloFrac.sum(values, var).reduce().to_ratfunc(), b, "delta")
 
 
 # ---------------------------------------------------------------------------
@@ -384,20 +360,18 @@ def check_distribution(N: int, x, s: int, r: int) -> CheckReport:
     x = Fraction(x)
     t = -_check_exact_s(s)
     P = Poly.monomial(r)
-    B = x.denominator
-    inner_branch = B * N
-    bracket_t = quantum_value(N, 1).num.scale_exponents(inner_branch) ** t
-    lhs = RatFunc.zero("v")
+    inner_branch = x.denominator * N
+    var = branch_var(inner_branch)
+    bracket_t = quantum_value(N, 1, var).num.scale_exponents(inner_branch) ** t
+    terms = []
     for j in range(N):
         inner_spec = OperatorSpec.hurwitz(s, (x + j) / N)
-        inner = apply_geometric(inner_spec, P).value
-        # (x+j)/N may reduce; re-express on the common branch B*N before F_N
+        # (x+j)/N may reduce: rebase to the common branch B*N, then apply F_N
         # (scaling exponents by k re-expresses on a k-times finer branch)
-        inner = frobenius(inner, inner_branch // inner_spec.branch)
-        pushed = frobenius(inner, N)
-        lhs = lhs + RatFunc.from_poly(bracket_t) * pushed
-    rhs = frobenius(apply_geometric(OperatorSpec.hurwitz(s, x), P).value, N)
-    ok = lhs == rhs
+        k = inner_branch // inner_spec.branch * N
+        terms.append(_geometric(inner_spec, P).scale_exponents(k, var).times_poly(bracket_t))
+    rhs = _geometric(OperatorSpec.hurwitz(s, x), P).scale_exponents(N, var)
+    ok = _is_identity(terms, rhs)
     return CheckReport(f"distribution N={N} x={x} s={s} r={r}", ok, [(f"r={r}", ok)])
 
 
@@ -414,20 +388,26 @@ def check_chi_decomposition(chi: DirichletCharacter, s: int, r: int) -> CheckRep
     if r < 1:
         raise DomainError("decomposition check needs r >= 1")
     P = Poly.monomial(r)
-    bracket_t = quantum_value(N, 1).num.scale_exponents(N) ** t
-    rhs = RatFunc.zero("v")
+    var = branch_var(N)
+    bracket_t = quantum_value(N, 1, var).num.scale_exponents(N) ** t
+    terms = []
     for j in range(1, N):
         cj = _chi_scalar(chi, j)
         if not cj:
             continue
         # gcd(j, N) = 1 here, so j/N is already in lowest terms: branch N
-        inner = apply_geometric(OperatorSpec.hurwitz(s, Fraction(j, N)), P).value
-        rhs = rhs + RatFunc.from_poly(bracket_t * Poly([cj], "v")) * frobenius(inner, N)
-    lhs = frobenius(apply_geometric(OperatorSpec.dirichlet_l(s, chi), P).value, N)
-    ok = lhs == rhs
+        inner = _geometric(OperatorSpec.hurwitz(s, Fraction(j, N)), P)
+        terms.append(inner.scale_exponents(N, var).times_poly(bracket_t).times_scalar(cj))
+    lhs = _geometric(OperatorSpec.dirichlet_l(s, chi), P).scale_exponents(N, var)
+    ok = _is_identity(terms, lhs)
     return CheckReport(
         f"L-decomposition chi mod {N} #{chi.index} s={s} r={r}", ok, [(f"r={r}", ok)]
     )
+
+
+def _is_identity(terms: list[CycloFrac], total: CycloFrac) -> bool:
+    """sum(terms) == total, decided by a zero numerator over their common denominator."""
+    return CycloFrac.sum([*terms, -total], total.num.var).is_zero()
 
 
 # ---------------------------------------------------------------------------

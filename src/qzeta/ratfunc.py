@@ -78,10 +78,6 @@ class RatFunc:
     def from_poly(cls, p: Poly) -> "RatFunc":
         return cls(p, Poly.one(p.var), _canonical=True)
 
-    @classmethod
-    def variable(cls, var: str = "q") -> "RatFunc":
-        return cls(Poly.variable(var), Poly.one(var), _canonical=True)
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -268,10 +264,6 @@ class CycloFrac:
     def zero(cls, var: str = "q") -> "CycloFrac":
         return cls(Poly.zero(var))
 
-    @classmethod
-    def from_scalar(cls, c, var: str = "q") -> "CycloFrac":
-        return cls(Poly([c], var))
-
     def copy(self) -> "CycloFrac":
         return CycloFrac(self.num, Counter(self.phi))
 
@@ -335,9 +327,6 @@ class CycloFrac:
 
     def __neg__(self) -> "CycloFrac":
         return CycloFrac(-self.num, Counter(self.phi))
-
-    def __sub__(self, other: "CycloFrac") -> "CycloFrac":
-        return self + (-other)
 
     def reduce(self) -> "CycloFrac":
         """Cancel every cyclotomic factor that divides the numerator."""

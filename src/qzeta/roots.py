@@ -16,9 +16,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf, pi
+from math import gcd, inf, isqrt, log10, pi
 
-import mpmath as mp
 import numpy as np
 
 from .arith import clear_denominators
@@ -93,10 +92,17 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 400) -> list[complex
     if deg == 1:
         roots.append(complex(Fraction(-coeffs[0], coeffs[1])))
         return roots
-    dps = max(40, int(-mp.log10(tol)) + 25)
     start = _warm_start(coeffs)
-    roots.extend(_aberth_fixed(coeffs, start, tol, max_iter, mp.libmp.dps_to_prec(dps)))
+    roots.extend(_aberth_fixed(coeffs, start, tol, max_iter, _working_bits(tol)))
     return roots
+
+
+def _working_bits(tol: float) -> int:
+    """Fixed-point fractional bits for a target tol: 25 decimal digits
+    beyond tol and at least 40, converted with one guard digit at log2(10)
+    bits per digit (3321928094887362 / 10^15), rounded to the nearest bit."""
+    digits = max(40, int(-log10(tol)) + 25)
+    return ((digits + 1) * 3321928094887362 + 5 * 10**14) // 10**15
 
 
 _GOLDEN = 0.6180339887498949
@@ -268,7 +274,7 @@ def classify_roots(
     return counts
 
 
-_RESIDUAL_BITS = mp.libmp.dps_to_prec(40)  # 136, the solver's bits at tol >= 1e-15
+_RESIDUAL_BITS = _working_bits(1e-15)  # 136, the solver's bits at tol >= 1e-15
 
 
 def _residuals(coeffs: list[int], roots: list[complex]) -> list[float]:
@@ -276,21 +282,23 @@ def _residuals(coeffs: list[int], roots: list[complex]) -> list[float]:
 
     p(z) comes from the fixed-point Horner at _RESIDUAL_BITS fractional
     bits; the solver's roots are multiples of 2^-136, so they convert
-    exactly.  Only the final quotient is taken in mpmath.
+    exactly.  The quotient is taken in integers: |p(z)| 2^bits to at least
+    120 bits by isqrt, then one correctly rounded integer division.
     """
     deg = len(coeffs) - 1
     scale = max(abs(c) for c in coeffs)
     bits = _RESIDUAL_BITS
     one = 1 << bits
     out = []
-    with mp.workdps(40):
-        for z in roots:
-            pr, pi_, _, _ = _horner_fixed(
-                coeffs, int(Fraction(z.real) * one), int(Fraction(z.imag) * one), bits
-            )
-            val = mp.sqrt(mp.mpf(pr * pr + pi_ * pi_))
-            norm = mp.mpf(scale * one) * mp.mpf(max(1.0, abs(z))) ** deg
-            out.append(float(val / norm))
+    for z in roots:
+        pr, pi_, _, _ = _horner_fixed(
+            coeffs, int(Fraction(z.real) * one), int(Fraction(z.imag) * one), bits
+        )
+        sq = pr * pr + pi_ * pi_
+        k = max(0, 121 - sq.bit_length() // 2)
+        val = isqrt(sq << (2 * k))  # floor(|p(z)| 2^(bits + k))
+        num, den = max(1.0, abs(z)).as_integer_ratio()
+        out.append(val * den**deg / ((scale * num**deg) << (bits + k)))
     return out
 
 

@@ -38,10 +38,6 @@ class TruncSeries:
         raise AttributeError("TruncSeries is immutable")
 
     @classmethod
-    def zero(cls, order: int, branch: int = 1) -> "TruncSeries":
-        return cls([], order, branch)
-
-    @classmethod
     def from_poly(cls, p: Poly, order: int, branch: int = 1) -> "TruncSeries":
         return cls(list(p.coeffs), order, branch)
 

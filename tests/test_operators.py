@@ -2,9 +2,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qzeta import operators
 from qzeta.characters import character, characters
 from qzeta.operators import (
     ConvergenceError,
@@ -102,6 +103,39 @@ def test_backend_agreement_other_kinds(kind, s):
         d = apply_delta(spec, P).value
         assert g == d
         assert series_from_ratfunc(g, 30, spec.branch) == apply_series(spec, P, 30)
+
+
+NONTRIVIAL = {N: [chi for chi in characters(N) if not chi.is_trivial()] for N in range(3, 13)}
+
+
+@st.composite
+def operator_cases(draw):
+    """(spec, P): any kind, s in [-5, 0], x = a/b with b <= 4, a non-trivial
+    character mod <= 12, and P with 1-3 monomials of degree <= 4, no constant."""
+    s = draw(st.integers(min_value=-5, max_value=0))
+    kind = draw(st.sampled_from(["riemann", "hurwitz", "dirichlet"]))
+    if kind == "riemann":
+        spec = OperatorSpec.riemann(s)
+    elif kind == "hurwitz":
+        b = draw(st.integers(min_value=1, max_value=4))
+        a = draw(st.integers(min_value=1, max_value=3 * b))
+        spec = OperatorSpec.hurwitz(s, Fraction(a, b))
+    else:
+        N = draw(st.sampled_from(sorted(NONTRIVIAL)))
+        spec = OperatorSpec.dirichlet_l(s, draw(st.sampled_from(NONTRIVIAL[N])))
+    nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    degrees = st.integers(min_value=1, max_value=4)
+    monos = draw(st.dictionaries(degrees, nonzero, min_size=1, max_size=3))
+    return spec, Poly([monos.get(i, 0) for i in range(5)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(operator_cases())
+def test_backends_agree_at_random(case):
+    spec, P = case
+    g = apply_geometric(spec, P).value
+    assert g == apply_delta(spec, P).value
+    assert series_from_ratfunc(g, 12, spec.branch) == apply_series(spec, P, 12)
 
 
 @given(
@@ -223,6 +257,39 @@ def test_chi_decomposition(N):
         for s in (0, -1, -2):
             for r in (1, 2, 3):
                 assert check_chi_decomposition(chi, s, r).passed, (N, chi.index, s, r)
+
+
+def test_checks_fail_on_a_wrong_hurwitz_value(monkeypatch):
+    # both checks read zeta_q(s, 3/4) q: off by a factor v, neither may pass
+    good = operators._geometric
+
+    def perturbed(spec, P):
+        out = good(spec, P)
+        return out.shift(1) if spec.x == Fraction(3, 4) else out
+
+    assert check_distribution(2, Fraction(1, 2), -1, 1).passed is True
+    assert check_chi_decomposition(character(4, 1), -1, 1).passed is True
+    monkeypatch.setattr(operators, "_geometric", perturbed)
+    assert check_distribution(2, Fraction(1, 2), -1, 1).passed is False
+    assert check_chi_decomposition(character(4, 1), -1, 1).passed is False
+
+
+def test_checks_make_no_ratfunc_sums_or_products(monkeypatch):
+    from qzeta.carlitz import beta_chi, genfun_check, verify_chi, verify_hurwitz
+
+    def refuse(self, other):
+        raise AssertionError("RatFunc arithmetic in an identity check")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(RatFunc, name, refuse)
+    beta_chi.cache_clear()
+    for backend in ("geometric", "delta"):
+        assert verify_hurwitz(3, Fraction(1, 2), backend).passed
+        assert verify_hurwitz(2, Fraction(2, 3), backend).passed
+        assert verify_chi(character(5, 1), 3, backend).passed
+    assert check_distribution(3, Fraction(1, 2), -2, 1).passed
+    assert check_chi_decomposition(character(5, 1), -1, 2).passed
+    assert genfun_check(6).passed
 
 
 # -- numeric mode -------------------------------------------------------------

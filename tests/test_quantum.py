@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qzeta.operators import OperatorSpec, _DeltaKernel, apply_delta
+from qzeta.operators import OperatorSpec, _delta_at, _delta_numerators, apply_delta
 from qzeta.poly import Poly
 from qzeta.quantum import frobenius, quantum_int, quantum_value
 from qzeta.ratfunc import RatFunc
@@ -80,15 +80,13 @@ def test_frobenius_on_series():
 
 # -- Delta: the kernel of apply_delta ---------------------------------------
 #
-# _DeltaKernel({a: 1}, M) stands for f(r) = sum_t q^((a+tM) r); each step
-# applies Delta(q^(nr)) = [n] q^(nr), and eval_at(r) gives the value at r.
+# the kernel ({a: 1}, M) stands for f(r) = sum_t q^((a+tM) r); each of the
+# k steps applies Delta(q^(nr)) = [n] q^(nr), and _delta_at gives the value at r.
 
 
 def delta_value(a, M, k, r):
-    kern = _DeltaKernel({a: 1}, M, 1, "q")
-    for _ in range(k):
-        kern.step()
-    return kern.eval_at(r).reduce().to_ratfunc()
+    nums = _delta_numerators(({a: 1}, M), k, "q")
+    return _delta_at(nums, M, 1, k, r).reduce().to_ratfunc()
 
 
 def bracket_power_series(exponents, k, r, order):

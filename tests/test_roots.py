@@ -163,6 +163,42 @@ def test_residuals_match_a_120_digit_horner(survey_21):
                 assert abs(res - ref) <= 1e-15 * ref, (rep.n, z)
 
 
+def test_residuals_round_as_the_40_digit_mpmath_quotient(survey_21):
+    # the integer quotient gives the double that mpmath at 40 digits gave
+    from fractions import Fraction
+
+    import mpmath as mp
+
+    from qzeta.arith import clear_denominators
+    from qzeta.roots import _RESIDUAL_BITS, _horner_fixed
+
+    one = 1 << _RESIDUAL_BITS
+    with mp.workdps(40):
+        for rep in survey_21:
+            coeffs, _ = clear_denominators(beta(rep.n).value.num.coeffs)
+            coeffs = coeffs[next(i for i, c in enumerate(coeffs) if c):]
+            scale = max(abs(c) for c in coeffs)
+            for z, res in zip(rep.roots, rep.residuals):
+                xr, xi = int(Fraction(z.real) * one), int(Fraction(z.imag) * one)
+                pr, pi_, _, _ = _horner_fixed(coeffs, xr, xi, _RESIDUAL_BITS)
+                val = mp.sqrt(mp.mpf(pr * pr + pi_ * pi_))
+                norm = mp.mpf(scale * one) * mp.mpf(max(1.0, abs(z))) ** rep.degree
+                assert res == float(val / norm), (rep.n, z)
+
+
+@pytest.mark.parametrize("k", range(6, 31))
+def test_working_bits_match_mpmath_dps_to_prec(k):
+    # the solver's bits were mpmath's dps_to_prec(max(40, int(-log10 tol) + 25))
+    import mpmath as mp
+
+    from qzeta.roots import _working_bits
+
+    for mantissa in (1, 2.5, 5, 9.99):
+        tol = float(f"{mantissa}e-{k}")
+        want = mp.libmp.dps_to_prec(max(40, int(-mp.log10(tol)) + 25))
+        assert _working_bits(tol) == want, tol
+
+
 def test_warm_start_stops_when_it_stalls(monkeypatch):
     # without a stall stop the float seed runs to its 600-sweep cap on the
     # stripped, Phi-divided numerator of beta_21 (degree 126)

@@ -1,5 +1,7 @@
-"""The package keeps its invariant checks under ``python -O``: they raise
-exceptions instead of using ``assert``, which -O strips."""
+"""Source-level rules for the package: its invariant checks survive
+``python -O`` (they raise exceptions instead of using ``assert``, which -O
+strips), and it does not import mpmath, which only the tests use as an
+oracle."""
 import ast
 from pathlib import Path
 
@@ -18,3 +20,18 @@ def test_no_assert_or_debug_flag(path):
         or (isinstance(node, ast.Name) and node.id == "__debug__")
     ]
     assert not found, f"{path.name}: assert or __debug__ on lines {found}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_mpmath_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        found += [node.lineno for name in names if name.split(".")[0] == "mpmath"]
+    assert not found, f"{path.name}: mpmath imported on lines {found}"
