@@ -230,6 +230,10 @@ class CycRat:
         return {"conductor": self.m, "coords": [str(c) for c in self.coords]}
 
 
+# the coefficient types; each answers not c, c == 1 and Fraction(1) / c itself
+SCALARS = (int, Fraction, CycRat)
+
+
 def _reduce_mod_phi(ints: list[int], den: int, m: int) -> list[Fraction]:
     """Coordinates of (sum_i ints[i] z^i) / den modulo Phi_m."""
     return [Fraction(c, den) for c in cyclotomic_reduce(ints, m)]

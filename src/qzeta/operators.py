@@ -28,7 +28,7 @@ from math import pi
 
 from .arith import primes_upto
 from .characters import DirichletCharacter
-from .poly import Poly, _is_zero_coeff, branch_var
+from .poly import Poly, branch_var
 from .quantum import quantum_value
 from .ratfunc import CycloFrac, RatFunc
 from .series import TruncSeries
@@ -127,14 +127,14 @@ def _check_exact_s(s: int) -> int:
 def _check_operand(P: Poly) -> Poly:
     if not isinstance(P, Poly):
         raise TypeError("operator operand must be a Poly")
-    if not _is_zero_coeff(P.constant_term()):
+    if P.constant_term():
         raise DomainError("operand has a constant term; the operator domain is q*C[[q]]")
     return P
 
 
 def _chi_scalar(chi: DirichletCharacter, n: int):
     v = chi(n)
-    return v.rational() if chi.is_real() else v
+    return int(v.rational()) if chi.is_real() else v
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def _geometric(spec: OperatorSpec, P: Poly) -> CycloFrac:
     # the weight of q^e is the coefficient of q^e in P(q) (q - 1)^m
     weights = (P * Poly([-1, 1]) ** m).coeffs
     terms = (_geometric_piece(kernel, e, var).times_scalar(w)
-             for e, w in enumerate(weights) if not _is_zero_coeff(w))
+             for e, w in enumerate(weights) if w)
     return CycloFrac.sum(terms, var).div_pow_one_minus_var_pow(b, m)
 
 
@@ -237,7 +237,7 @@ def apply_delta(spec: OperatorSpec, P: Poly) -> ApplyResult:
     b, var, kernel = spec.branch, branch_var(spec.branch), _kernel(spec)
     nums = _delta_numerators(kernel, m, var)
     values = (_delta_at(nums, kernel[1], b, m, r).times_scalar(c)
-              for r, c in enumerate(P.coeffs) if not _is_zero_coeff(c))
+              for r, c in enumerate(P.coeffs) if c)
     return ApplyResult(CycloFrac.sum(values, var).reduce().to_ratfunc(), b, "delta")
 
 
@@ -260,7 +260,7 @@ def apply_series(spec: OperatorSpec, P: Poly, order: int) -> TruncSeries:
     b = spec.branch
     kernel, M = _kernel(spec)
     coeffs: list = [0] * (order + 1)
-    monos = [(r, c) for r, c in enumerate(P.coeffs) if not _is_zero_coeff(c)]
+    monos = [(r, c) for r, c in enumerate(P.coeffs) if c]
     top = order // monos[0][0] if monos else 0  # the lowest monomial bounds c
     for a, c_a in kernel.items():
         for c in range(a, top + 1, M):  # [c/b] = (v^c - 1)/(v^b - 1)
@@ -317,7 +317,7 @@ def euler_product_apply(s: int, P: Poly, prime_bound: int, order: int) -> TruncS
     result = TruncSeries.from_poly(P, order)
     for p in primes_upto(prime_bound):
         acc = list(result.coeffs)
-        monos = [(i, c) for i, c in enumerate(result.coeffs) if not _is_zero_coeff(c)]
+        monos = [(i, c) for i, c in enumerate(result.coeffs) if c]
         n = p
         while n <= order:
             powm = _bracket_power(n, 1, m, order)

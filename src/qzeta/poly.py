@@ -1,8 +1,12 @@
 """Dense univariate polynomials over an exact coefficient field.
 
 Coefficients are Python ints / Fractions (the rational field) or CycRat
-values.  All polynomials arising here are dense in practice, so a plain
-coefficient list, lowest degree first, is the representation of choice.
+values (``fields.SCALARS``).  The constructor decides the coefficient field
+once and stores its conductor in ``m`` (1 for Q); every coefficient is then
+of that field, and the scalar types themselves answer zero (``not c``), one
+(``c == 1``) and inverse (``Fraction(1) / c``).  All polynomials arising
+here are dense in practice, so a plain coefficient list, lowest degree
+first, is the representation of choice.
 The variable tag is symbolic only: it names the indeterminate for
 rendering and never affects arithmetic.  The hot exact paths (products
 with a rational factor, trial division by Phi_d) run on integer lanes
@@ -16,20 +20,7 @@ from math import gcd as int_gcd
 
 from .arith import (clear_denominators, cyclotomic_int_coeffs, cyclotomic_norm,
                     euler_phi, int_poly_divmod_monic, int_poly_mul)
-from .fields import CycRat, FieldMismatchError
-
-
-def _is_rational_coeff(c) -> bool:
-    return isinstance(c, (int, Fraction))
-
-
-def _field_key(c):
-    """Classify a coefficient: 'rat' or ('cyc', m)."""
-    if _is_rational_coeff(c):
-        return "rat"
-    if isinstance(c, CycRat):
-        return "rat" if c.m == 1 else ("cyc", c.m)
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+from .fields import SCALARS, CycRat, FieldMismatchError
 
 
 class Poly:
@@ -41,22 +32,15 @@ class Poly:
     Poly('-1 + q^2')
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs", "var", "m")
 
     def __init__(self, coeffs, var: str = "q"):
         if isinstance(coeffs, Poly):
-            cs = list(coeffs.coeffs)
-            var = coeffs.var
-        else:
-            cs = list(coeffs)
-        for c in cs:
-            if isinstance(c, float):
-                raise TypeError("float coefficients are not exact; use Fraction")
-        while cs and _is_zero_coeff(cs[-1]):
-            cs.pop()
-        cs = _unify_coeffs(cs)
+            coeffs, var = coeffs.coeffs, coeffs.var
+        cs, m = _unify_coeffs(list(coeffs))
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "var", var)
+        object.__setattr__(self, "m", m)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -92,7 +76,7 @@ class Poly:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and _coeff_eq_one(self.coeffs[0])
+        return len(self.coeffs) == 1 and self.coeffs[0] == 1
 
     def leading(self):
         if not self.coeffs:
@@ -106,7 +90,7 @@ class Poly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and _coeff_eq_one(self.coeffs[-1])
+        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     # -- arithmetic --------------------------------------------------------
 
@@ -138,29 +122,29 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            if isinstance(other, (int, Fraction, CycRat)):
+            if isinstance(other, SCALARS):
                 return self.scale(other)
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(self.var)
-        if "rat" in (self.field_key(), other.field_key()):  # multiply each lane
+        if 1 in (self.m, other.m):  # multiply each lane
             (la, da, ma), (lb, db, mb) = split_lanes(self), split_lanes(other)
             lanes = [int_poly_mul(x, y) for x in la for y in lb]  # one side has one lane
             return assemble_lanes(lanes, da * db, max(ma, mb), self.var)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if _is_zero_coeff(x):
+            if not x:
                 continue
             for j, y in enumerate(b):
-                if not _is_zero_coeff(y):
+                if y:
                     out[i + j] = out[i + j] + x * y
         return Poly(out, self.var)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        if _is_zero_coeff(c):
+        if not c:
             return Poly.zero(self.var)
         return Poly([c * x for x in self.coeffs], self.var)
 
@@ -183,20 +167,18 @@ class Poly:
         rem = list(self.coeffs)
         dn = other.degree
         den = other.coeffs
-        inv = None if _coeff_eq_one(den[-1]) else _coeff_inv(den[-1])
+        inv = None if den[-1] == 1 else Fraction(1) / den[-1]
         quo = [0] * max(len(rem) - dn, 0)
         top = len(rem) - 1
         while top >= dn:
             c = rem[top] if inv is None else rem[top] * inv
-            if not _is_zero_coeff(c):
+            if c:
                 k = top - dn
                 quo[k] = c
                 for j, d in enumerate(den):
-                    if not _is_zero_coeff(d):
+                    if d:
                         rem[k + j] = rem[k + j] - c * d
             top -= 1
-        while rem and _is_zero_coeff(rem[-1]):
-            rem.pop()
         return Poly(quo, self.var), Poly(rem, self.var)
 
     def __floordiv__(self, other):
@@ -222,7 +204,7 @@ class Poly:
         """Scale so the leading coefficient is one; monic(0) = 0."""
         if self.is_zero() or self.is_monic():
             return self
-        inv = _coeff_inv(self.leading())
+        inv = Fraction(1) / self.leading()
         return Poly([c * inv for c in self.coeffs], self.var)
 
     def scale_exponents(self, k: int) -> "Poly":
@@ -258,8 +240,8 @@ class Poly:
             if len(self.coeffs) != len(other.coeffs):
                 return False
             return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        if isinstance(other, (int, Fraction, CycRat)):
-            if _is_zero_coeff(other):
+        if isinstance(other, SCALARS):
+            if not other:
                 return self.is_zero()
             return len(self.coeffs) == 1 and self.coeffs[0] == other
         return NotImplemented
@@ -290,15 +272,13 @@ class Poly:
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction, CycRat)):
+        if isinstance(other, SCALARS):
             return Poly([other], self.var)
         return NotImplemented
 
     def field_key(self):
-        for c in self.coeffs:  # unified: a CycRat here has its field's conductor
-            if isinstance(c, CycRat):
-                return _field_key(c)
-        return "rat"
+        """The coefficient field: 'rat' or ('cyc', m)."""
+        return "rat" if self.m == 1 else ("cyc", self.m)
 
 
 def branch_var(b: int) -> str:
@@ -314,7 +294,7 @@ def _json_coeff(c):
 def _render_terms(coeffs, var: str) -> str:
     parts = []
     for i, c in enumerate(coeffs):
-        if _is_zero_coeff(c):
+        if not c:
             continue
         term = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
         cs = str(c)
@@ -334,52 +314,32 @@ def _render_terms(coeffs, var: str) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return not c
+def _unify_coeffs(cs: list) -> tuple[list, int]:
+    """The trimmed coefficient list, all in one field, and that field's
+    conductor m (1 for Q).
 
-
-def _coeff_eq_one(c) -> bool:
-    if isinstance(c, (int, Fraction)):
-        return c == 1
-    return c.is_rational() and c.coords[0] == 1  # CycRat
-
-
-def _coeff_inv(c):
-    if isinstance(c, int):
-        return Fraction(1, c)
-    if isinstance(c, Fraction):
-        return 1 / c
-    return c.inverse()  # CycRat
-
-
-def _unify_coeffs(cs: list) -> list:
-    """Promote mixed rational/CycRat coefficient lists to one field.
-
-    Conductor-1 CycRat values are rational: without another field present
-    they become Fractions, so the integer paths over Q can read them.
+    A type outside SCALARS raises TypeError before anything is trimmed, so
+    a float zero is rejected too.  The nonzero CycRat values of conductor
+    above 1 fix the field (zero lies in every field); the other values are
+    promoted into it.  Over Q, CycRat values become Fractions, so the
+    integer paths can read them.
     """
-    target = None
-    unit_cyc = False
-    for c in cs:
-        if _is_rational_coeff(c):
-            continue
-        key = _field_key(c)
-        if key == "rat":
-            unit_cyc = True
-            continue
-        if target is None:
-            target = key
-        elif target != key:
-            raise FieldMismatchError(f"mixed coefficient fields {target} and {key}")
-    if target is None:
-        return [_to_fraction(c) for c in cs] if unit_cyc else cs
-    m = target[1]
-    return [
-        c if isinstance(c, CycRat) and c.m == m else CycRat(m, _to_fraction(c))
-        for c in cs
-    ]
+    m = 1
+    if not set(map(type, cs)) <= {int, Fraction}:
+        for c in cs:
+            if not isinstance(c, SCALARS):
+                raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+            if isinstance(c, CycRat) and c.m != m and c.m != 1 and c:
+                if m != 1:
+                    raise FieldMismatchError(f"mixed fields Q(zeta_{m}) and Q(zeta_{c.m})")
+                m = c.m
+    while cs and not cs[-1]:
+        cs.pop()
+    if m == 1:
+        if any(isinstance(c, CycRat) for c in cs):
+            cs = [_to_fraction(c) for c in cs]
+        return cs, 1
+    return [c if isinstance(c, CycRat) and c.m == m else CycRat(m, _to_fraction(c)) for c in cs], m
 
 
 def _to_fraction(c) -> Fraction:
@@ -401,14 +361,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """
     if not isinstance(a, Poly) or not isinstance(b, Poly):
         raise TypeError("poly_gcd expects Poly arguments")
-    ka, kb = a.field_key(), b.field_key()
-    if ka != "rat" and kb != "rat" and ka != kb:
-        raise FieldMismatchError(f"mixed coefficient fields {ka} and {kb}")
+    if a.m != b.m and 1 not in (a.m, b.m):
+        raise FieldMismatchError(f"mixed fields Q(zeta_{a.m}) and Q(zeta_{b.m})")
     if a.is_zero():
         return b.monic()
     if b.is_zero():
         return a.monic()
-    if ka == "rat" and kb == "rat":
+    if a.m == b.m == 1:
         return Poly(_gcd_rational(a.coeffs, b.coeffs), a.var)
     # monic Euclid over the field
     f, g = a, b
@@ -515,8 +474,7 @@ def cyclotomic_coprime(p: Poly, indices) -> bool:
 def split_lanes(p: Poly) -> tuple[list[list[int]], int, int]:
     """(lanes, den, m) with p = sum_i zeta_m^i lanes[i] / den, one integer
     coefficient list per power of zeta; over Q, m = 1 with one lane."""
-    key = p.field_key()
-    m, dim = (1, 1) if key == "rat" else (key[1], euler_phi(key[1]))
+    m, dim = p.m, euler_phi(p.m)
     ints, den = clear_denominators(p.coeffs if m == 1 else [x for c in p.coeffs for x in c.coords])
     return ([ints] if dim == 1 else [ints[i::dim] for i in range(dim)]), den, m
 

@@ -11,17 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .arith import divisors, phi_factor_indices
-from .fields import CycRat
-from .poly import (
-    Poly,
-    _coeff_inv,
-    _is_zero_coeff,
-    cyclotomic,
-    cyclotomic_coprime,
-    divide_out_cyclotomic,
-    poly_gcd,
-)
+from .arith import cyclotomic_int_coeffs, divisors, int_poly_mul, phi_factor_indices
+from .fields import SCALARS
+from .poly import Poly, cyclotomic_coprime, divide_out_cyclotomic, poly_gcd
 
 
 class PoleError(ZeroDivisionError):
@@ -51,7 +43,7 @@ class RatFunc:
                     num = num.exact_div(g)
                     den = den.exact_div(g)
                 if not den.is_monic():
-                    inv = _coeff_inv(den.leading())
+                    inv = Fraction(1) / den.leading()
                     num = num.scale(inv)
                     den = den.scale(inv)
         object.__setattr__(self, "num", num)
@@ -94,7 +86,7 @@ class RatFunc:
             return other
         if isinstance(other, Poly):
             return RatFunc.from_poly(other)
-        if isinstance(other, (int, Fraction, CycRat)):
+        if isinstance(other, SCALARS):
             return RatFunc.constant(other, self.var)
         return NotImplemented
 
@@ -156,7 +148,7 @@ class RatFunc:
         num = n1 * n2
         den = d1 * d2
         if not den.is_monic():
-            inv = _coeff_inv(den.leading())
+            inv = Fraction(1) / den.leading()
             num = num.scale(inv)
             den = den.scale(inv)
         return RatFunc(num, den, _canonical=True)
@@ -202,7 +194,7 @@ class RatFunc:
         canonical form this is a genuine pole, not an unreduced common zero.
         """
         dv = self.den(p)
-        if _is_zero_coeff(dv):
+        if not dv:
             raise PoleError(f"pole at {p}")
         nv = self.num(p)
         if isinstance(nv, int):
@@ -351,7 +343,7 @@ class CycloFrac:
         if not self.reduced:
             return self.reduce().to_ratfunc()
         den = _phi_product(self.phi, self.num.var)
-        canonical = self.num.field_key() == "rat" or cyclotomic_coprime(self.num, self.phi)
+        canonical = self.num.m == 1 or cyclotomic_coprime(self.num, self.phi)
         return RatFunc(self.num, den, _canonical=canonical)
 
     def __repr__(self):
@@ -359,9 +351,9 @@ class CycloFrac:
 
 
 def _phi_product(phi: Counter, var: str) -> Poly:
-    out = Poly.one(var)
+    """prod_d Phi_d^phi[d], multiplied out on integer coefficient lists."""
+    out = [1]
     for d in sorted(phi):
-        m = phi[d]
-        if m > 0:
-            out = out * cyclotomic(d, var) ** m
-    return out
+        for _ in range(phi[d]):
+            out = int_poly_mul(out, cyclotomic_int_coeffs(d))
+    return Poly(out, var)

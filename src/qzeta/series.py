@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .fields import CycRat
-from .poly import Poly, _coeff_inv, _is_zero_coeff, _json_coeff, _render_terms, branch_var
+from .fields import SCALARS
+from .poly import Poly, _json_coeff, _render_terms, branch_var
 from .ratfunc import RatFunc
 
 
@@ -44,18 +44,18 @@ class TruncSeries:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(_is_zero_coeff(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def constant_term(self):
         return self.coeffs[0]
 
     def has_constant_term(self) -> bool:
-        return not _is_zero_coeff(self.coeffs[0])
+        return bool(self.coeffs[0])
 
     def valuation(self) -> int | None:
         """Exponent of the first nonzero coefficient, None for zero (to order)."""
         for i, c in enumerate(self.coeffs):
-            if not _is_zero_coeff(c):
+            if c:
                 return i
         return None
 
@@ -88,7 +88,7 @@ class TruncSeries:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CycRat)):
+        if isinstance(other, SCALARS):
             cs = list(self.coeffs)
             cs[0] = cs[0] + other
             return TruncSeries(cs, self.order, self.branch)
@@ -105,7 +105,7 @@ class TruncSeries:
         return TruncSeries([-c for c in self.coeffs], self.order, self.branch)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycRat)):
+        if isinstance(other, SCALARS):
             return self + (-other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -115,7 +115,7 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycRat)):
+        if isinstance(other, SCALARS):
             return TruncSeries(
                 [c * other for c in self.coeffs], self.order, self.branch
             )
@@ -124,11 +124,11 @@ class TruncSeries:
         a, b, order = self._align(other)
         out = [0] * (order + 1)
         for i, x in enumerate(a.coeffs[: order + 1]):
-            if _is_zero_coeff(x):
+            if not x:
                 continue
             for j in range(min(order - i, b.order) + 1):
                 y = b.coeffs[j]
-                if not _is_zero_coeff(y):
+                if y:
                     out[i + j] = out[i + j] + x * y
         return TruncSeries(out, order, a.branch)
 
@@ -188,17 +188,17 @@ def series_from_ratfunc(f: RatFunc, order: int, branch: int = 1) -> TruncSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     den0 = f.den.coeff(0)
-    if _is_zero_coeff(den0):
+    if not den0:
         raise ZeroDivisionError("denominator vanishes at 0; no power series there")
     num = f.num
     den = f.den
-    inv0 = _coeff_inv(den0)
+    inv0 = Fraction(1) / den0
     out = []
     for k in range(order + 1):
         acc = num.coeff(k)
         for i in range(1, min(k, den.degree) + 1):
             di = den.coeff(i)
-            if not _is_zero_coeff(di):
+            if di:
                 acc = acc - di * out[k - i]
         out.append(acc * inv0)
     return TruncSeries(out, order, branch)

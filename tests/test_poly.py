@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import polys
+from conftest import polys, small_fractions
 from qzeta.arith import divisors, euler_phi, factorize
 from qzeta.fields import CycRat, FieldMismatchError
 from qzeta.poly import (
@@ -21,8 +21,10 @@ from qzeta.poly import (
 def test_construction_trims_and_rejects_floats():
     assert Poly([1, 2, 0, 0]).coeffs == (1, 2)
     assert Poly([]).is_zero()
-    with pytest.raises(TypeError):
-        Poly([0.5])
+    # every coefficient is type-checked before trimming: a float zero too
+    for bad in ([0.5], [1, 0.0], [0.0], [1j], ["a"]):
+        with pytest.raises(TypeError):
+            Poly(bad)
 
 
 def test_gcd_common_factor_by_inspection():
@@ -134,6 +136,55 @@ def test_conductor_one_cycrat_coefficients_are_rational():
     assert p.coeffs == (2, 1) and all(isinstance(c, Fraction) for c in p.coeffs)
     assert poly_gcd(p, Poly([2, 1])) == Poly([2, 1])
     assert Poly([CycRat(1, 1), CycRat(4, [0, 1])]).field_key() == ("cyc", 4)
+    p = Poly([CycRat(1, Fraction(1, 2)), 3, CycRat(1, 0)])
+    assert p.field_key() == "rat" and p.coeffs == (Fraction(1, 2), 3)
+    assert all(isinstance(c, Fraction) for c in p.coeffs)
+
+
+def _field_from_coeffs(p):
+    """p's coefficient field, classified from its coefficients alone."""
+    kinds = {("cyc", c.m) if isinstance(c, CycRat) else "rat" for c in p.coeffs}
+    assert len(kinds) <= 1, kinds  # every coefficient is in one field
+    return kinds.pop() if kinds else "rat"
+
+
+@st.composite
+def field_polys(draw, m, max_degree=3):
+    """Polynomials over Q(zeta_m) (Q for m = 1) whose coefficients mix
+    CycRat values of conductor m and 1 with ints and Fractions."""
+    def coeff():
+        kind = draw(st.sampled_from(["rat", "unit", "cyc"]))
+        x = draw(small_fractions)
+        if kind == "rat":
+            return x
+        if kind == "unit" or m == 1:
+            return CycRat(1, x)
+        return CycRat(m, [x] + [draw(small_fractions) for _ in range(euler_phi(m) - 1)])
+    return Poly([coeff() for _ in range(draw(st.integers(0, max_degree + 1)))])
+
+
+def test_fields_do_not_mix():
+    i, w = Poly([0, CycRat.zeta_power(4, 1)]), Poly([1, CycRat.zeta_power(3, 1)])
+    assert (i.field_key(), w.field_key()) == (("cyc", 4), ("cyc", 3))
+    for op in (lambda: i + w, lambda: i - w, lambda: i * w,
+               lambda: Poly([CycRat.zeta_power(4, 1), CycRat.zeta_power(3, 1)])):
+        with pytest.raises(FieldMismatchError):
+            op()
+    # zero lies in every field: a zero CycRat fixes none
+    assert Poly([1, CycRat(4, 0), CycRat(3, 0)]).field_key() == "rat"
+    assert Poly([CycRat(3, 0), CycRat.zeta_power(4, 1)]).coeffs == (0, CycRat.zeta_power(4, 1))
+
+
+@given(data=st.data(), m=st.sampled_from([1, 3, 4, 5, 8, 12]))
+def test_stored_field_matches_coefficients(data, m):
+    a, b = data.draw(field_polys(m)), data.draw(field_polys(m))
+    d = data.draw(polys(max_degree=2, allow_zero=False))
+    c = data.draw(small_fractions) if m == 1 else CycRat.zeta_power(m, data.draw(st.integers(0, m)))
+    k = data.draw(st.integers(1, 3))
+    results = [a, a + b, a - b, a * b, a * d, d * b, a.scale(c), a.shift(k),
+               a.scale_exponents(k), *divmod(a, d)]
+    for r in results:
+        assert r.field_key() == _field_from_coeffs(r)
 
 
 def _divmod_route(p, limits):

@@ -1,7 +1,7 @@
 """Source-level rules for the package: its invariant checks survive
 ``python -O`` (they raise exceptions instead of using ``assert``, which -O
-strips), and it does not import mpmath, which only the tests use as an
-oracle."""
+strips), it does not import mpmath, which only the tests use as an
+oracle, and it names the coefficient types in one place."""
 import ast
 from pathlib import Path
 
@@ -35,3 +35,17 @@ def test_no_mpmath_import(path):
             continue
         found += [node.lineno for name in names if name.split(".")[0] == "mpmath"]
     assert not found, f"{path.name}: mpmath imported on lines {found}"
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "fields.py"}),
+                         ids=lambda p: p.name)
+def test_scalar_types_are_named_once(path):
+    # fields.SCALARS is the one spelling of the coefficient types
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Tuple)
+        and {"int", "Fraction", "CycRat"} <= {getattr(e, "id", None) for e in node.elts}
+    ]
+    assert not found, f"{path.name}: (int, Fraction, CycRat) spelled out on lines {found}"
