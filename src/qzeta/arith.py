@@ -119,6 +119,13 @@ def int_poly_mul(a, b) -> list[int]:
     return out
 
 
+def int_poly_add(out: list[int], a, k: int, c: int) -> None:
+    """out += c * x^k * a in place, growing out as needed."""
+    out.extend([0] * (k + len(a) - len(out)))
+    for i, x in enumerate(a):
+        out[k + i] += c * x
+
+
 def int_poly_divmod_monic(num, den) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer coefficient lists by a monic den;
     the remainder is untrimmed, len(den) - 1 long unless num is shorter."""

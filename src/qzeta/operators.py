@@ -26,9 +26,9 @@ from fractions import Fraction
 from itertools import count
 from math import pi
 
-from .arith import primes_upto
+from .arith import int_poly_add, primes_upto
 from .characters import DirichletCharacter
-from .poly import Poly, branch_var
+from .poly import Poly, assemble_lanes, branch_var, split_lanes
 from .quantum import quantum_value
 from .ratfunc import CycloFrac, RatFunc
 from .series import TruncSeries
@@ -199,7 +199,7 @@ def _geometric_piece(kernel, e: int, var: str) -> CycloFrac:
 # ---------------------------------------------------------------------------
 
 
-def _delta_numerators(kernel, m: int, var: str) -> list[Poly]:
+def _delta_numerators(kernel, m: int, var: str):
     """Numerators a_j(v) of Delta^m f for f = sum_a c_a w^a / (1 - w^M), in
     w = q^(r/b) and v = q^(1/b).  Every Delta^k f has the denominator
     (v^b - 1)^k prod_{i<=k} (1 - v^(iM) w^M), so a step, Delta f(w) =
@@ -207,22 +207,34 @@ def _delta_numerators(kernel, m: int, var: str) -> list[Poly]:
 
         a'_j = (v^j - 1) a_j + (v^((k+1)M) - v^(j-M)) a_(j-M),
 
-    and 1/(q - 1) = 1/(v^b - 1) joins the denominator."""
+    and 1/(q - 1) = 1/(v^b - 1) joins the denominator.  Being Q-linear, it runs
+    on the c_a's lanes: (lanes, den, cond, var), a_j = sum_i zeta^i lanes[i][j]/den."""
     coeffs, M = kernel
-    nums = [Poly([coeffs.get(j, 0)], var) for j in range(max(coeffs) + 1)]
-    for k in range(m):
-        out = [a.shift(j) - a for j, a in enumerate(nums)] + [Poly.zero(var)] * M
-        for j, a in enumerate(nums):
-            out[j + M] = out[j + M] + a.shift((k + 1) * M) - a.shift(j)
-        nums = out
-    return nums
+    values, den, cond = split_lanes(Poly([coeffs.get(j, 0) for j in range(max(coeffs) + 1)]))
+    lanes = []
+    for lane in values:
+        nums = [[c] for c in lane]
+        for k in range(m):
+            out = [[] for _ in range(len(nums) + M)]
+            for j, a in enumerate(nums):
+                int_poly_add(out[j], a, j, 1)
+                int_poly_add(out[j], a, 0, -1)
+                int_poly_add(out[j + M], a, (k + 1) * M, 1)
+                int_poly_add(out[j + M], a, j, -1)
+            nums = out
+        lanes.append(nums)
+    return lanes, den, cond, var
 
 
-def _delta_at(nums: list[Poly], M: int, b: int, m: int, r: int) -> CycloFrac:
+def _delta_at(nums, M: int, b: int, m: int, r: int) -> CycloFrac:
     """Delta^m f at w = v^r: sum_j a_j v^(rj) over
-    (v^b - 1)^m prod_{i<=m} (1 - v^((i+r)M))."""
-    out = CycloFrac(sum((a.shift(r * j) for j, a in enumerate(nums)), Poly.zero(nums[0].var)))
-    out = out.div_pow_one_minus_var_pow(b, m)
+    (v^b - 1)^m prod_{i<=m} (1 - v^((i+r)M)), for nums from _delta_numerators."""
+    lanes, den, cond, var = nums
+    values = [[] for _ in lanes]
+    for lane, total in zip(lanes, values):
+        for j, a in enumerate(lane):
+            int_poly_add(total, a, r * j, 1)
+    out = CycloFrac(assemble_lanes(values, den, cond, var)).div_pow_one_minus_var_pow(b, m)
     for i in range(m + 1):
         out = out.div_one_minus((i + r) * M)
     return out

@@ -8,14 +8,16 @@ of that field, and the scalar types themselves answer zero (``not c``), one
 here are dense in practice, so a plain coefficient list, lowest degree
 first, is the representation of choice.
 The variable tag is symbolic only: it names the indeterminate for
-rendering and never affects arithmetic.  The hot exact paths (products
-with a rational factor, trial division by Phi_d) run on integer lanes
-(``split_lanes``).
+rendering and never affects arithmetic.  The hot exact paths run on
+integer lanes (``split_lanes``): products with a rational factor, trial
+division by Phi_d, the Galois norm (``norm_lanes``), ``CycloFrac.sum``,
+the Delta kernel of ``operators`` and ``series_from_ratfunc``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd as int_gcd
 
 from .arith import (clear_denominators, cyclotomic_int_coeffs, cyclotomic_norm,
@@ -333,19 +335,18 @@ def _unify_coeffs(cs: list) -> tuple[list, int]:
                 if m != 1:
                     raise FieldMismatchError(f"mixed fields Q(zeta_{m}) and Q(zeta_{c.m})")
                 m = c.m
+        cs = [_promote(c, m) for c in cs]
     while cs and not cs[-1]:
         cs.pop()
-    if m == 1:
-        if any(isinstance(c, CycRat) for c in cs):
-            cs = [_to_fraction(c) for c in cs]
-        return cs, 1
-    return [c if isinstance(c, CycRat) and c.m == m else CycRat(m, _to_fraction(c)) for c in cs], m
+    return cs, m
 
 
-def _to_fraction(c) -> Fraction:
-    if isinstance(c, CycRat):
-        return c.rational()
-    return Fraction(c)
+def _promote(c, m: int):
+    """c in Q(zeta_m): a Fraction over Q, a CycRat of conductor m otherwise."""
+    if m > 1 and isinstance(c, CycRat) and c.m == m:
+        return c
+    r = c.rational() if isinstance(c, CycRat) else Fraction(c)
+    return r if m == 1 else CycRat(m, r)
 
 
 # -- gcd -------------------------------------------------------------------
@@ -464,11 +465,19 @@ def cyclotomic_coprime(p: Poly, indices) -> bool:
     prod_k sigma_k(p) over the units k mod m (sigma_k: zeta -> zeta^k): that
     proves p coprime to each, as Phi_d is irreducible over Q and a common
     root would be a root of the norm.  False only means "not certified"."""
-    lanes, _, m = split_lanes(p)
+    norm = norm_lanes(p)[1]
+    return all(any(int_poly_divmod_monic(norm, cyclotomic_int_coeffs(d))[1]) for d in indices)
+
+
+def norm_lanes(p: Poly) -> tuple[list[list[int]], list[int], int]:
+    """(conj, norm, den) with p * sum_i zeta^i conj[i] = norm / den, integer
+    lists: conj is the product of the conjugates sigma_k (k != 1) of p's
+    integer lanes (``arith.cyclotomic_norm``); over Q, conj = [[1]]."""
+    lanes, den, m = split_lanes(p)
     L = len(lanes) * (len(lanes[0]) - 1) + 1  # past the norm's degree in q
     ints = [c for lane in lanes for c in lane + [0] * (L - len(lane))]  # zeta = x^L
-    norm = cyclotomic_norm(ints, m, L)[1][:L]
-    return all(any(int_poly_divmod_monic(norm, cyclotomic_int_coeffs(d))[1]) for d in indices)
+    conj, norm = cyclotomic_norm(ints, m, L)
+    return [conj[i * L:(i + 1) * L] for i in range(len(lanes))], norm[:L], den
 
 
 def split_lanes(p: Poly) -> tuple[list[list[int]], int, int]:
@@ -480,7 +489,8 @@ def split_lanes(p: Poly) -> tuple[list[list[int]], int, int]:
 
 
 def assemble_lanes(lanes, den: int, m: int, var: str) -> Poly:
-    """The polynomial of split_lanes' triple; the lanes have equal lengths."""
+    """The polynomial of split_lanes' triple; shorter lanes end in zeros."""
     if m == 1:
         return Poly(lanes[0] if den == 1 else [Fraction(c, den) for c in lanes[0]], var)
-    return Poly([CycRat(m, [Fraction(c, den) for c in col]) for col in zip(*lanes)], var)
+    cols = zip_longest(*lanes, fillvalue=0)
+    return Poly([CycRat(m, [Fraction(c, den) for c in col]) for col in cols], var)

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
-from .arith import cyclotomic_int_coeffs, divisors, int_poly_mul, phi_factor_indices
-from .fields import SCALARS
-from .poly import Poly, cyclotomic_coprime, divide_out_cyclotomic, poly_gcd
+from .arith import cyclotomic_int_coeffs, divisors, int_poly_add, int_poly_mul, phi_factor_indices
+from .fields import SCALARS, FieldMismatchError
+from .poly import (Poly, assemble_lanes, cyclotomic_coprime, divide_out_cyclotomic, poly_gcd,
+                   split_lanes)
 
 
 class PoleError(ZeroDivisionError):
@@ -300,17 +302,24 @@ class CycloFrac:
     def sum(terms, var: str = "q") -> "CycloFrac":
         """The sum over the least common denominator: the union of the
         terms' Phi multisets, with each numerator multiplied once by the
-        factors it lacks."""
+        factors it lacks, on integer lanes (a term over Q is lane 0)."""
         terms = [t for t in terms if not t.is_zero()]
         if len(terms) <= 1:
             return terms[0].copy() if terms else CycloFrac.zero(var)
+        m = max(t.num.m for t in terms)
+        if any(t.num.m not in (1, m) for t in terms):
+            raise FieldMismatchError(f"terms over Q(zeta_{m}) and another cyclotomic field")
         union = Counter()
         for t in terms:
             union |= t.phi
-        num = Poly.zero(var)
-        for t in terms:
-            num = num + t.num * _phi_product(union - t.phi, var)
-        return CycloFrac(num, union)
+        split = [split_lanes(t.num) for t in terms]
+        den = lcm(*(d for _, d, _ in split))
+        acc = [[] for _ in range(max(len(lanes) for lanes, _, _ in split))]
+        for t, (lanes, d, _) in zip(terms, split):
+            f = [c * (den // d) for c in _phi_product(union - t.phi)]
+            for lane, out in zip(lanes, acc):
+                int_poly_add(out, int_poly_mul(lane, f), 0, 1)
+        return CycloFrac(assemble_lanes(acc, den, m, var), union)
 
     def __add__(self, other: "CycloFrac") -> "CycloFrac":
         if not isinstance(other, CycloFrac):
@@ -342,7 +351,7 @@ class CycloFrac:
         """
         if not self.reduced:
             return self.reduce().to_ratfunc()
-        den = _phi_product(self.phi, self.num.var)
+        den = Poly(_phi_product(self.phi), self.num.var)
         canonical = self.num.m == 1 or cyclotomic_coprime(self.num, self.phi)
         return RatFunc(self.num, den, _canonical=canonical)
 
@@ -350,10 +359,10 @@ class CycloFrac:
         return f"CycloFrac({self.num!r}, {dict(self.phi)})"
 
 
-def _phi_product(phi: Counter, var: str) -> Poly:
-    """prod_d Phi_d^phi[d], multiplied out on integer coefficient lists."""
+def _phi_product(phi: Counter) -> list[int]:
+    """prod_d Phi_d^phi[d] as an integer coefficient list."""
     out = [1]
     for d in sorted(phi):
         for _ in range(phi[d]):
             out = int_poly_mul(out, cyclotomic_int_coeffs(d))
-    return Poly(out, var)
+    return out

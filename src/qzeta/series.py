@@ -10,10 +10,11 @@ points reject it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .fields import SCALARS
-from .poly import Poly, _json_coeff, _render_terms, branch_var
+from .poly import (Poly, _json_coeff, _render_terms, assemble_lanes, branch_var, norm_lanes,
+                   split_lanes)
 from .ratfunc import RatFunc
 
 
@@ -178,27 +179,28 @@ class TruncSeries:
 
 
 def series_from_ratfunc(f: RatFunc, order: int, branch: int = 1) -> TruncSeries:
-    """Power-series expansion of f through the given order, exactly.
-
-    Coefficients are produced by recursive division, which requires the
-    reduced denominator not to vanish at 0.  A vanishing denominator means
-    the value has a pole at the origin and signals a computation bug in the
-    operator pipelines, whose values are all zero at the origin.
+    """Power-series expansion of f through the given order, exactly, on
+    integer lanes: the denominator's other Galois conjugates (``norm_lanes``)
+    make it g D / d with D a primitive integer list, and numerator lane n
+    gives y_k = out_k D_0^(k+1) = D_0^k n_k - sum_i D_i D_0^(i-1) y_(k-i).
+    D_0 = 0 is a pole at the origin: a bug in the pipelines, whose values vanish there.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    den0 = f.den.coeff(0)
-    if not den0:
+    conj, D, d = norm_lanes(f.den)  # f.den * conj = D / d
+    lanes, dn, m = split_lanes(f.num * assemble_lanes(conj, 1, f.den.m, f.num.var))
+    g = gcd(*D)
+    D = [c // g for c in D]
+    if not D[0]:
         raise ZeroDivisionError("denominator vanishes at 0; no power series there")
-    num = f.num
-    den = f.den
-    inv0 = Fraction(1) / den0
+    pw = [D[0] ** k for k in range(order + 2)]
+    taps = [(i, c * pw[i - 1]) for i, c in enumerate(D[1:order + 1], 1) if c]
     out = []
-    for k in range(order + 1):
-        acc = num.coeff(k)
-        for i in range(1, min(k, den.degree) + 1):
-            di = den.coeff(i)
-            if di:
-                acc = acc - di * out[k - i]
-        out.append(acc * inv0)
-    return TruncSeries(out, order, branch)
+    for lane in lanes:
+        y = []
+        for k in range(order + 1):
+            nk = pw[k] * lane[k] if k < len(lane) else 0
+            y.append(nk - sum(t * y[k - i] for i, t in taps if i <= k))
+        out.append([c * d * pw[order - k] for k, c in enumerate(y)])
+    return TruncSeries.from_poly(assemble_lanes(out, g * dn * pw[order + 1], m, f.num.var),
+                                 order, branch)

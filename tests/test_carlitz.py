@@ -17,6 +17,7 @@ from qzeta.carlitz import (
     verify_theorem,
 )
 from qzeta.characters import character, characters
+from qzeta.fields import CycRat
 from qzeta.operators import DomainError, OperatorSpec, apply_delta, apply_geometric
 from qzeta.poly import Poly, cyclotomic, poly_gcd
 from qzeta.quantum import quantum_value
@@ -306,6 +307,27 @@ def test_complex_characters_divide_nothing_over_cyclotomic_fields(monkeypatch):
         chi = character(N, index)
         assert chi.order > 2
         for n in range(1, top + 1):
+            for backend in ("geometric", "delta"):
+                assert verify_chi(chi, n, backend).passed
+    assert calls == []
+
+
+def test_complex_characters_add_no_cycrat_values(monkeypatch):
+    # the same six characters: CycloFrac.sum, the Delta kernel and the
+    # canonical form add on integer lanes, never two CycRat coefficients
+    calls = []
+    add = CycRat.__add__
+
+    def counting(self, other):
+        calls.append((self, other))
+        return add(self, other)
+
+    monkeypatch.setattr(CycRat, "__add__", counting)
+    monkeypatch.setattr(CycRat, "__radd__", counting)
+    beta_chi.cache_clear()
+    for N, index in ((5, 1), (5, 3), (7, 1), (7, 2), (7, 4), (7, 5)):
+        chi = character(N, index)
+        for n in range(1, 4):
             for backend in ("geometric", "delta"):
                 assert verify_chi(chi, n, backend).passed
     assert calls == []

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import ratfuncs
-from qzeta.fields import CycRat
+from conftest import ratfuncs, small_fractions
+from qzeta.arith import euler_phi
+from qzeta.fields import CycRat, FieldMismatchError
 from qzeta.poly import Poly, cyclotomic, cyclotomic_coprime, poly_gcd
 from qzeta.quantum import frobenius
 from qzeta.ratfunc import CycloFrac, PoleError, RatFunc
@@ -166,6 +168,50 @@ def test_cyclofrac_sum_of_no_terms_and_of_one():
         assert one is not t and (one.num, one.phi) == (t.num, t.phi)
         one.phi[5] += 1  # a copy: the term keeps its own multiset
         assert 5 not in t.phi
+
+
+@st.composite
+def sum_terms(draw):
+    """Up to four CycloFrac terms over Q and Q(zeta_m), m in {3, 4, 5, 8},
+    mixed in one sum; a numerator may be zero."""
+    m = draw(st.sampled_from([1, 3, 4, 5, 8]))
+    coords = st.lists(small_fractions, min_size=euler_phi(m), max_size=euler_phi(m))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        cyclotomic_term = m > 1 and draw(st.booleans())
+        coeff = coords.map(lambda c: CycRat(m, c)) if cyclotomic_term else small_fractions
+        num = Poly(draw(st.lists(coeff, max_size=4)))
+        phi = draw(st.dictionaries(st.integers(1, 8), st.integers(1, 2), max_size=3))
+        terms.append(CycloFrac(num, phi))
+    return terms
+
+
+def reference_sum(terms):
+    """sum t.num * prod Phi_d^(union - t.phi) in plain Poly arithmetic."""
+    terms = [t for t in terms if not t.is_zero()]
+    union = Counter()
+    for t in terms:
+        union |= t.phi
+    num = Poly.zero()
+    for t in terms:
+        cofactor = Poly.one()
+        for d, e in (union - t.phi).items():
+            cofactor = cofactor * cyclotomic(d) ** e
+        num = num + t.num * cofactor
+    return num, union
+
+
+@given(sum_terms())
+def test_cyclofrac_sum_matches_poly_arithmetic(terms):
+    got = CycloFrac.sum(terms)
+    assert (got.num, got.phi) == reference_sum(terms)
+
+
+def test_cyclofrac_sum_refuses_two_cyclotomic_fields():
+    a = CycloFrac(Poly([0, CycRat.zeta_power(3, 1)])).div_one_minus(1)
+    b = CycloFrac(Poly([CycRat.zeta_power(4, 1)])).div_one_minus(2)
+    with pytest.raises(FieldMismatchError):
+        CycloFrac.sum([a, b])
 
 
 def test_cyclofrac_scale_exponents_splits_phi():

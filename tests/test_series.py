@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qzeta.poly import Poly
+from qzeta.fields import CycRat
+from qzeta.poly import Poly, cyclotomic
 from qzeta.ratfunc import RatFunc
 from qzeta.series import TruncSeries, series_from_ratfunc
 
@@ -21,6 +22,31 @@ def test_alternating_expansion():
 def test_product_of_geometric_series():
     f = RatFunc(Poly([0, 1]), Poly([1, -1]) * Poly([1, 0, -1]))
     assert series_from_ratfunc(f, 4) == TruncSeries([0, 1, 1, 2, 2])
+
+
+I = CycRat.zeta_power(4, 1)
+Z3 = CycRat.zeta_power(3, 1)
+Z8 = CycRat.zeta_power(8, 1)
+
+
+@pytest.mark.parametrize("num, den", [
+    (Poly([1, 3]), Poly([2, -1])),                                   # D(0) = -2 once monic
+    (Poly([Fraction(1, 5), 0, -7]), Poly([Fraction(3, 2), 0, 0, 1])),
+    (Poly([1, I, 3]), Poly([I, 1])),                                 # q + i over Q(i)
+    (Poly([0, Z3, 1]), Poly([2, Z3, 1])),
+    (Poly([Z8, 0, 3]), Poly([3, Z8 ** 3, 0, 1])),
+    (Poly([0, 1, -3, Fraction(1, 2)]),
+     cyclotomic(1) * cyclotomic(2) * cyclotomic(3) * cyclotomic(6) ** 2),
+    (Poly([0, CycRat.zeta_power(5, 2), 1]), cyclotomic(5) * cyclotomic(4) ** 2),
+    (Poly([]), Poly([1, 1])),
+])
+def test_expansion_times_denominator_is_numerator(num, den):
+    # the oracle multiplies truncated series; it never runs the recurrence
+    f = RatFunc(num, den)
+    order = 30
+    got = series_from_ratfunc(f, order)
+    assert got.order == order
+    assert got * TruncSeries.from_poly(f.den, order) == TruncSeries.from_poly(f.num, order)
 
 
 def test_pole_at_origin_rejected():
