@@ -11,7 +11,7 @@ B_n (convention B_1 = -1/2), which serves as an independent oracle.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf
@@ -21,10 +21,10 @@ from .operators import (
     CheckReport,
     DomainError,
     OperatorSpec,
-    apply_delta,
-    apply_geometric,
     apply_series,
     _chi_scalar,
+    _delta,
+    _geometric,
     _is_identity,
 )
 from .poly import Poly, branch_var, divide_out_cyclotomic
@@ -32,7 +32,7 @@ from .quantum import quantum_value
 from .ratfunc import CycloFrac, RatFunc
 from .series import series_from_ratfunc
 
-_EXACT_BACKENDS = {"geometric": apply_geometric, "delta": apply_delta}
+_EXACT_BACKENDS = {"geometric": _geometric, "delta": _delta}
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,13 @@ class BetaPolynomial:
 @dataclass(frozen=True)
 class BetaChi:
     """The character analogue beta_{chi,n}; coefficients lie in Q(zeta_m)
-    for m the order of chi, hence in Q for real characters."""
+    for m the order of chi, hence in Q for real characters.  ``cf`` is the
+    same value in reduced cyclotomic form, which verify_chi compares."""
 
     chi: DirichletCharacter
     n: int
     value: RatFunc
+    cf: CycloFrac = field(compare=False, repr=False)
 
     def __str__(self):
         return f"beta_(chi mod {self.chi.modulus} #{self.chi.index}),{self.n} = {self.value}"
@@ -184,15 +186,17 @@ def _theorem_operand(n: int) -> Poly:
 
 
 def _check_relation(
-    name: str, lhs: RatFunc, spec: OperatorSpec, P: Poly, backend: str, series_order: int
+    name: str, lhs: CycloFrac, spec: OperatorSpec, P: Poly, backend: str, series_order: int
 ) -> CheckReport:
     """Compare lhs with the operator value spec(P) computed by one backend:
-    exactly for geometric and delta, through ``series_order`` for series."""
+    exactly for geometric and delta, by a zero numerator over the common
+    denominator of lhs and the unreduced operator value, and through
+    ``series_order`` for series, on the reduced lhs."""
     if backend in _EXACT_BACKENDS:
-        ok = lhs == _EXACT_BACKENDS[backend](spec, P).value
+        ok = _is_identity([_EXACT_BACKENDS[backend](spec, P)], lhs)
     elif backend == "series":
         rhs_series = apply_series(spec, P, series_order)
-        ok = series_from_ratfunc(lhs, series_order, spec.branch) == rhs_series
+        ok = series_from_ratfunc(lhs.to_ratfunc(), series_order, spec.branch) == rhs_series
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return CheckReport(name, ok)
@@ -208,8 +212,8 @@ def verify_theorem(n: int, backend: str = "geometric", series_order: int = 60) -
         raise DomainError("the Euler-type relation is stated for n >= 2")
     name = f"beta_{n} = zeta_q({1 - n})(q - {n + 1}q^2) [{backend}]"
     spec = OperatorSpec.riemann(1 - n)
-    lhs = beta(n).value
-    return _check_relation(name, lhs, spec, _theorem_operand(n), backend, series_order)
+    _extend_beta_table(n)
+    return _check_relation(name, _beta_cf[n], spec, _theorem_operand(n), backend, series_order)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +272,7 @@ def verify_hurwitz(
         return CheckReport(
             name, None, note="s = 1 - n = 1 > 0: series/numeric mode only"
         )
-    lhs = _beta_poly_cf(n, x).shift(x.numerator).reduce().to_ratfunc()
+    lhs = _beta_poly_cf(n, x).shift(x.numerator)
     spec = OperatorSpec.hurwitz(1 - n, x)
     return _check_relation(name, lhs, spec, _theorem_operand(n), backend, series_order)
 
@@ -311,7 +315,8 @@ def beta_chi(chi: DirichletCharacter, n: int) -> BetaChi:
             term = term.div_pow_one_minus_var_pow(N, 1)
             term.phi[1] -= 1
         terms.append(term)
-    return BetaChi(chi, n, CycloFrac.sum(terms).reduce().to_ratfunc())
+    cf = CycloFrac.sum(terms).reduce()
+    return BetaChi(chi, n, cf.to_ratfunc(), cf)
 
 
 def verify_chi(chi: DirichletCharacter, n: int, backend: str = "geometric") -> CheckReport:
@@ -330,6 +335,6 @@ def verify_chi(chi: DirichletCharacter, n: int, backend: str = "geometric") -> C
         return CheckReport(
             name, None, note="s = 1 - n = 1 > 0: series/numeric mode only"
         )
-    lhs = beta_chi(chi, n).value
+    lhs = beta_chi(chi, n).cf
     spec = OperatorSpec.dirichlet_l(1 - n, chi)
     return _check_relation(name, lhs, spec, _theorem_operand(n), backend, 40)

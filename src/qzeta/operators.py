@@ -6,13 +6,17 @@ Three independent exact backends evaluate the same operator:
   each geometric piece in closed form;
 * ``apply_delta`` realizes the value as an iterated q-difference of the
   periodic generating function f(r) = sum a_n q^{nr}, evaluated at w = q^r;
-* ``apply_series`` sums the definition term by term in truncated series
-  space, which is exact through the truncation order because the n-th
-  term has q-valuation at least n.
+* ``apply_series`` sums the definition in truncated series space, exact
+  through the truncation order because the n-th term has q-valuation at
+  least n; as [c/b]^m = (1 - v^c)^m / (1 - v^b)^m, it adds one sparse
+  numerator over all indices and divides it once by (1 - v^b)^m.
 
 All three read the operator from one index set, ``_kernel``: the
 Dirichlet coefficients 1, the Hurwitz shift x, or chi(n), as the
-generating function sum_a c_a w^a / (1 - w^M).
+generating function sum_a c_a w^a / (1 - w^M).  The exact values also
+come unreduced (``_geometric``, ``_delta``); every exact identity check,
+here and in ``carlitz``, decides on that cyclotomic form with
+``_is_identity`` (a zero numerator over the common denominator).
 
 Exact mode is restricted to integer s <= 0, where [n]^(-s) is a
 polynomial; general complex s is served by the clearly-separated
@@ -244,13 +248,17 @@ def apply_delta(spec: OperatorSpec, P: Poly) -> ApplyResult:
     """Evaluate through m = -s applications of the q-difference Delta to the
     operator's periodic generating function, then substitute w = q^r for
     every monomial of P.  Agrees with apply_geometric exactly."""
-    m = -spec.s
     _check_operand(P)
-    b, var, kernel = spec.branch, branch_var(spec.branch), _kernel(spec)
+    return ApplyResult(_delta(spec, P).reduce().to_ratfunc(), spec.branch, "delta")
+
+
+def _delta(spec: OperatorSpec, P: Poly) -> CycloFrac:
+    """apply_delta's value on branch spec.branch, unreduced."""
+    m, b, var, kernel = -spec.s, spec.branch, branch_var(spec.branch), _kernel(spec)
     nums = _delta_numerators(kernel, m, var)
     values = (_delta_at(nums, kernel[1], b, m, r).times_scalar(c)
               for r, c in enumerate(P.coeffs) if c)
-    return ApplyResult(CycloFrac.sum(values, var).reduce().to_ratfunc(), b, "delta")
+    return CycloFrac.sum(values, var)
 
 
 # ---------------------------------------------------------------------------
@@ -269,42 +277,29 @@ def apply_series(spec: OperatorSpec, P: Poly, order: int) -> TruncSeries:
     _check_operand(P)
     if order < 1:
         raise DomainError("series order must be >= 1")
-    b = spec.branch
     kernel, M = _kernel(spec)
-    coeffs: list = [0] * (order + 1)
-    monos = [(r, c) for r, c in enumerate(P.coeffs) if c]
-    top = order // monos[0][0] if monos else 0  # the lowest monomial bounds c
-    for a, c_a in kernel.items():
-        for c in range(a, top + 1, M):  # [c/b] = (v^c - 1)/(v^b - 1)
-            powm = _bracket_power(c, b, m, order)
-            _accumulate(coeffs, powm, monos, c, order, c_a)
-    return TruncSeries(coeffs, order, b)
+    groups = [(c_a, range(a, order + 1, M)) for a, c_a in kernel.items()]
+    return TruncSeries(_bracket_sum(P, groups, spec.branch, m, order), order, spec.branch)
 
 
-def _bracket_power(c: int, b: int, m: int, order: int) -> list[int]:
-    """Series of [c/b]^m = ((1 - v^c)/(1 - v^b))^m through v^order, in m
-    passes: each multiplies by 1 - v^c (one shifted subtraction) and
-    divides by 1 - v^b (one strided prefix sum)."""
-    out = [1] + [0] * order
+def _bracket_sum(P: Poly, groups, b: int, m: int, order: int) -> list:
+    """sum of k [c/b]^m P(v^c) over the groups (k, cs), cs ascending, through
+    v^order.  As [c/b] = (1 - v^c)/(1 - v^b), it is one numerator
+    sum k (1 - v^c)^m P(v^c), which has O(order/c) terms for each c, divided
+    once by (1 - v^b)^m in m strided prefix sums."""
+    weights = [(e, w) for e, w in enumerate((P * Poly([1, -1]) ** m).coeffs) if w]
+    out: list = [0] * (order + 1)
+    for k, cs in groups:
+        for e, w in weights:
+            kw = k * w
+            for c in cs:
+                if c * e > order:
+                    break
+                out[c * e] += kw
     for _ in range(m):
-        for i in range(order, c - 1, -1):
-            out[i] -= out[i - c]
         for i in range(b, order + 1):
             out[i] += out[i - b]
     return out
-
-
-def _accumulate(coeffs, powm, monos, c, order, scal=1):
-    """coeffs += scal * sum_r c_r * v^(rc) * powm, truncated."""
-    for r, cr in monos:
-        base = r * c
-        if base > order:
-            continue
-        w = cr if scal == 1 else cr * scal
-        for t in range(0, order - base + 1):
-            pv = powm[t]
-            if pv:
-                coeffs[base + t] = coeffs[base + t] + w * pv
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +321,12 @@ def euler_product_apply(s: int, P: Poly, prime_bound: int, order: int) -> TruncS
     _check_operand(P)
     if order < 1:
         raise DomainError("series order must be >= 1")
-    result = TruncSeries.from_poly(P, order)
+    coeffs = TruncSeries.from_poly(P, order).coeffs
     for p in primes_upto(prime_bound):
-        acc = list(result.coeffs)
-        monos = [(i, c) for i, c in enumerate(result.coeffs) if c]
-        n = p
-        while n <= order:
-            powm = _bracket_power(n, 1, m, order)
-            _accumulate(acc, powm, monos, n, order)
-            n *= p
-        result = TruncSeries(acc, order, 1)
-    return result
+        powers = [p ** e for e in range(1, order.bit_length()) if p ** e <= order]
+        total = _bracket_sum(Poly(coeffs[:order // p + 1]), [(1, powers)], 1, m, order)
+        coeffs = [x + y for x, y in zip(coeffs, total)]
+    return TruncSeries(coeffs, order, 1)
 
 
 # ---------------------------------------------------------------------------

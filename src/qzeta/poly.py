@@ -9,9 +9,10 @@ here are dense in practice, so a plain coefficient list, lowest degree
 first, is the representation of choice.
 The variable tag is symbolic only: it names the indeterminate for
 rendering and never affects arithmetic.  The hot exact paths run on
-integer lanes (``split_lanes``): products with a rational factor, trial
-division by Phi_d, the Galois norm (``norm_lanes``), ``CycloFrac.sum``,
-the Delta kernel of ``operators`` and ``series_from_ratfunc``.
+integer lanes (``split_lanes``): products and scales with a rational
+factor, trial division by Phi_d, the Galois norm (``norm_lanes``),
+``CycloFrac.sum``, the Delta kernel of ``operators`` and
+``series_from_ratfunc``.
 """
 from __future__ import annotations
 
@@ -148,7 +149,9 @@ class Poly:
     def scale(self, c) -> "Poly":
         if not c:
             return Poly.zero(self.var)
-        return Poly([c * x for x in self.coeffs], self.var)
+        if self.m == 1 and not isinstance(c, CycRat):
+            return Poly([c * x for x in self.coeffs], self.var)
+        return self * Poly([c], self.var)  # lane by lane when one side is rational
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -464,20 +467,28 @@ def cyclotomic_coprime(p: Poly, indices) -> bool:
     """True when no Phi_d, d in ``indices``, divides the rational norm
     prod_k sigma_k(p) over the units k mod m (sigma_k: zeta -> zeta^k): that
     proves p coprime to each, as Phi_d is irreducible over Q and a common
-    root would be a root of the norm.  False only means "not certified"."""
-    norm = norm_lanes(p)[1]
-    return all(any(int_poly_divmod_monic(norm, cyclotomic_int_coeffs(d))[1]) for d in indices)
+    root would be a root of the norm.  False only means "not certified".
+    The norm is taken of p's residue mod Phi_d, lane by lane: Phi_d is
+    rational, so each sigma_k commutes with the reduction and the two
+    norms agree mod Phi_d."""
+    lanes, _, m = split_lanes(p)
+    for d in indices:
+        phi_d = cyclotomic_int_coeffs(d)
+        residue = [int_poly_divmod_monic(lane, phi_d)[1] for lane in lanes]
+        if not any(int_poly_divmod_monic(norm_lanes(residue, m)[1], phi_d)[1]):
+            return False
+    return True
 
 
-def norm_lanes(p: Poly) -> tuple[list[list[int]], list[int], int]:
-    """(conj, norm, den) with p * sum_i zeta^i conj[i] = norm / den, integer
-    lists: conj is the product of the conjugates sigma_k (k != 1) of p's
-    integer lanes (``arith.cyclotomic_norm``); over Q, conj = [[1]]."""
-    lanes, den, m = split_lanes(p)
-    L = len(lanes) * (len(lanes[0]) - 1) + 1  # past the norm's degree in q
+def norm_lanes(lanes, m: int) -> tuple[list[list[int]], list[int]]:
+    """(conj, norm) for the integer lanes of p over Q(zeta_m) (``split_lanes``),
+    with p * sum_i zeta^i conj[i] = norm / den: conj is the product of the
+    conjugates sigma_k (k != 1) of the lanes (``arith.cyclotomic_norm``);
+    over Q, conj = [[1]]."""
+    L = len(lanes) * (max(map(len, lanes)) - 1) + 1  # past the norm's degree in q
     ints = [c for lane in lanes for c in lane + [0] * (L - len(lane))]  # zeta = x^L
     conj, norm = cyclotomic_norm(ints, m, L)
-    return [conj[i * L:(i + 1) * L] for i in range(len(lanes))], norm[:L], den
+    return [conj[i * L:(i + 1) * L] for i in range(len(lanes))], norm[:L]
 
 
 def split_lanes(p: Poly) -> tuple[list[list[int]], int, int]:

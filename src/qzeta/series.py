@@ -187,7 +187,8 @@ def series_from_ratfunc(f: RatFunc, order: int, branch: int = 1) -> TruncSeries:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    conj, D, d = norm_lanes(f.den)  # f.den * conj = D / d
+    den_lanes, d, m = split_lanes(f.den)
+    conj, D = norm_lanes(den_lanes, m)  # f.den * conj = D / d
     lanes, dn, m = split_lanes(f.num * assemble_lanes(conj, 1, f.den.m, f.num.var))
     g = gcd(*D)
     D = [c // g for c in D]

@@ -5,8 +5,9 @@ from math import comb
 
 import pytest
 
-from qzeta import carlitz
+from qzeta import carlitz, ratfunc
 from qzeta.carlitz import (
+    BetaChi,
     bernoulli_number,
     beta,
     beta_chi,
@@ -21,7 +22,7 @@ from qzeta.fields import CycRat
 from qzeta.operators import DomainError, OperatorSpec, apply_delta, apply_geometric
 from qzeta.poly import Poly, cyclotomic, poly_gcd
 from qzeta.quantum import quantum_value
-from qzeta.ratfunc import RatFunc
+from qzeta.ratfunc import CycloFrac, RatFunc
 
 # frozen from the classical recurrence sum C(n+1,i) B_i = 0, B_0 = 1
 KNOWN_BERNOULLI = {
@@ -314,20 +315,64 @@ def test_complex_characters_divide_nothing_over_cyclotomic_fields(monkeypatch):
 
 def test_complex_characters_add_no_cycrat_values(monkeypatch):
     # the same six characters: CycloFrac.sum, the Delta kernel and the
-    # canonical form add on integer lanes, never two CycRat coefficients
+    # canonical form add on integer lanes, never two CycRat coefficients,
+    # and a scale with one rational side (chi(j) on a rational numerator, a
+    # rational weight on a Q(zeta_m) numerator) multiplies lanes too
     calls = []
-    add = CycRat.__add__
 
-    def counting(self, other):
-        calls.append((self, other))
-        return add(self, other)
+    def counting(op):
+        def count(self, other):
+            calls.append((op, self, other))
+            return op(self, other)
+        return count
 
-    monkeypatch.setattr(CycRat, "__add__", counting)
-    monkeypatch.setattr(CycRat, "__radd__", counting)
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(CycRat, name, counting(getattr(CycRat, name)))
     beta_chi.cache_clear()
     for N, index in ((5, 1), (5, 3), (7, 1), (7, 2), (7, 4), (7, 5)):
         chi = character(N, index)
         for n in range(1, 4):
             for backend in ("geometric", "delta"):
                 assert verify_chi(chi, n, backend).passed
+    assert calls == []
+
+
+def exact_relations():
+    """One theorem, Hurwitz, real- and complex-character relation with each
+    exact backend, as (function, arguments)."""
+    cases = []
+    for backend in ("geometric", "delta"):
+        cases += [(verify_theorem, (7, backend)),
+                  (verify_hurwitz, (7, Fraction(2, 3), backend)),
+                  (verify_chi, (character(5, 2), 3, backend)),
+                  (verify_chi, (character(5, 1), 3, backend))]
+    return cases
+
+
+def test_perturbed_left_side_fails_every_exact_relation(monkeypatch):
+    assert all(check(*args).passed for check, args in exact_relations())
+    q3 = CycloFrac(Poly.monomial(3))
+    table = list(carlitz._beta_cf)  # beta_7 is built: the relations above read it
+    table[7] = table[7] + q3
+    monkeypatch.setattr(carlitz, "_beta_cf", table)
+    real = beta_chi
+
+    def perturbed(chi, n):
+        b = real(chi, n)
+        return BetaChi(chi, n, b.value, b.cf + q3)
+
+    monkeypatch.setattr(carlitz, "beta_chi", perturbed)
+    assert [check(*args).passed for check, args in exact_relations()] == [False] * 8
+
+
+def test_exact_relations_reduce_no_operator_value(monkeypatch):
+    # both exact backends decide on the unreduced cyclotomic form: once the
+    # table and beta_chi are built, no trial division and no norm certificate
+    assert all(check(*args).passed for check, args in exact_relations())
+    calls = []
+    reduce, coprime = CycloFrac.reduce, ratfunc.cyclotomic_coprime
+    monkeypatch.setattr(CycloFrac, "reduce", lambda cf: calls.append(cf) or reduce(cf))
+    monkeypatch.setattr(ratfunc, "cyclotomic_coprime",
+                        lambda p, indices: calls.append(p) or coprime(p, indices))
+    assert all(check(*args).passed for check, args in exact_relations())
     assert calls == []

@@ -1,4 +1,5 @@
 """The three exact operator backends, the Euler product, and numeric mode."""
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from qzeta.operators import (
     ConvergenceError,
     DomainError,
     OperatorSpec,
-    _bracket_power,
+    _bracket_sum,
     _kernel,
     apply_delta,
     apply_geometric,
@@ -191,7 +192,7 @@ def test_euler_product_all_small_indices():
     "c, b, m, order",
     [(1, 1, 3, 12), (3, 2, 4, 30), (5, 2, 0, 10), (7, 3, 6, 40), (45, 1, 2, 40), (2, 5, 5, 25)],
 )
-def test_bracket_power_matches_schoolbook(c, b, m, order):
+def test_bracket_sum_matches_schoolbook(c, b, m, order):
     base = [0] * (order + 1)  # [c/b] = (1 - v^c) * sum_i v^(bi), truncated
     for i in range(0, order + 1, b):
         base[i] += 1
@@ -200,7 +201,8 @@ def test_bracket_power_matches_schoolbook(c, b, m, order):
     want = [1] + [0] * order
     for _ in range(m):
         want = [sum(want[j] * base[k - j] for j in range(k + 1)) for k in range(order + 1)]
-    assert _bracket_power(c, b, m, order) == want
+    # [c/b]^m P(v^c) with P = 1: the numerator (1 - v^c)^m, divided by (1 - v^b)^m
+    assert _bracket_sum(Poly.one(), [(1, [c])], b, m, order) == want
 
 
 @pytest.mark.parametrize("s", [0, -1, -2])
@@ -208,6 +210,35 @@ def test_euler_product_equals_series(s):
     assert euler_product_apply(s, Q, 40, 40) == apply_series(
         OperatorSpec.riemann(s), Q, 40
     )
+
+
+# sha256 of series_transcript(), captured while apply_series and
+# euler_product_apply still expanded every bracket power [c/b]^m on its own
+SERIES_TRANSCRIPT_SHA256 = "f8fd4fd5bfa3b4299234280e81da46cb7b3cc6155237433ba5d8f8eded340020"
+
+
+def series_transcript() -> str:
+    """apply_series (Riemann, Hurwitz, complex characters) and
+    euler_product_apply through order 40, as printed, on three operands."""
+    lines = []
+    operands = (Q, Poly([0, 1, -3]), Poly([0, 1, Fraction(-2, 3), 0, 3]))
+    specs = [OperatorSpec.riemann(s) for s in (0, -1, -2, -5)]
+    specs += [OperatorSpec.hurwitz(s, x) for s in (0, -1, -3)
+              for x in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 2))]
+    specs += [OperatorSpec.dirichlet_l(s, character(N, k)) for s in (0, -1, -2)
+              for N, k in ((5, 1), (7, 1), (7, 2))]
+    for spec in specs:
+        for P in operands:
+            lines.append(f"series {spec} {P}: {apply_series(spec, P, 40)}")
+    for s in (0, -1, -3):
+        for bound in (1, 2, 7, 40):
+            for P in operands:
+                lines.append(f"euler {s} {bound} {P}: {euler_product_apply(s, P, bound, 40)}")
+    return "\n".join(lines)
+
+
+def test_series_and_euler_product_are_pinned():
+    assert hashlib.sha256(series_transcript().encode()).hexdigest() == SERIES_TRANSCRIPT_SHA256
 
 
 # -- commutation and distribution ---------------------------------------------

@@ -3,13 +3,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import ratfuncs, small_fractions
-from qzeta.arith import euler_phi
+from qzeta.arith import cyclotomic_int_coeffs, euler_phi, int_poly_divmod_monic
 from qzeta.fields import CycRat, FieldMismatchError
-from qzeta.poly import Poly, cyclotomic, cyclotomic_coprime, poly_gcd
+from qzeta.poly import Poly, cyclotomic, cyclotomic_coprime, norm_lanes, poly_gcd, split_lanes
 from qzeta.quantum import frobenius
 from qzeta.ratfunc import CycloFrac, PoleError, RatFunc
 
@@ -231,6 +231,13 @@ def test_cyclofrac_scale_exponents_is_frobenius(k):
     assert scaled.to_ratfunc().var == "v"
 
 
+def full_norm_coprime(p, indices):
+    """The norm certificate on the norm of p itself, not of its residues."""
+    lanes, _, m = split_lanes(p)
+    norm = norm_lanes(lanes, m)[1]
+    return all(any(int_poly_divmod_monic(norm, cyclotomic_int_coeffs(d))[1]) for d in indices)
+
+
 def test_split_cyclotomic_factor_falls_back_to_gcd():
     # over Q(i), Phi_4 = (q - i)(q + i): reduce() cannot divide it out of
     # (q - i) A, the norm certificate refuses, and the gcd cancels q - i
@@ -240,9 +247,33 @@ def test_split_cyclotomic_factor_falls_back_to_gcd():
     phi = Counter({1: 1, 4: 1})
     assert not cyclotomic_coprime(num, phi)
     assert cyclotomic_coprime(A, phi)
+    assert not full_norm_coprime(num, phi)
+    assert full_norm_coprime(A, phi)
     got = CycloFrac(num, phi).reduce().to_ratfunc()
     want = RatFunc(num, cyclotomic(1) * cyclotomic(4))
     assert (got.num, got.den) == (want.num, want.den) == (A, Poly([-1, 1]) * Poly([i, 1]))
+
+
+@st.composite
+def certificate_cases(draw):
+    """A nonzero p over Q(zeta_m), m in {3, 4, 5, 7, 8, 12}, sometimes with a
+    factor q - zeta^k (a root of Phi_(m / gcd(m, k))), and some indices d."""
+    m = draw(st.sampled_from([3, 4, 5, 7, 8, 12]))
+    coords = st.lists(small_fractions, min_size=euler_phi(m), max_size=euler_phi(m))
+    coeffs = draw(st.lists(coords.map(lambda c: CycRat(m, c)), min_size=1, max_size=4))
+    p = Poly(coeffs)
+    assume(not p.is_zero())
+    for k in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        p = p * Poly([-CycRat.zeta_power(m, k), 1])
+    indices = draw(st.lists(st.integers(1, 24), min_size=1, max_size=4, unique=True))
+    return p, indices
+
+
+@given(certificate_cases())
+def test_residue_certificate_equals_full_norm_certificate(case):
+    # N(p) = N(p mod Phi_d) mod Phi_d, so the two certificates agree
+    p, indices = case
+    assert cyclotomic_coprime(p, indices) == full_norm_coprime(p, indices)
 
 
 def test_norm_certificate_over_q_is_trial_division():
