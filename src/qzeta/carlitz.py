@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, inf
+from math import comb, gcd, inf
 
 from .characters import DirichletCharacter
 from .operators import (
@@ -27,9 +27,9 @@ from .operators import (
     _geometric,
     _is_identity,
 )
-from .poly import Poly, branch_var, divide_out_cyclotomic
+from .poly import Poly, assemble_lanes, branch_var, divide_out_cyclotomic, split_lanes
 from .quantum import quantum_value
-from .ratfunc import CycloFrac, RatFunc
+from .ratfunc import CycloFrac, RatFunc, add_lanes, raise_to_union
 from .series import series_from_ratfunc
 
 _EXACT_BACKENDS = {"geometric": _geometric, "delta": _delta}
@@ -181,17 +181,14 @@ def genfun_check(order: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _theorem_operand(n: int) -> Poly:
-    return Poly([0, 1, -(n + 1)])
-
-
 def _check_relation(
-    name: str, lhs: CycloFrac, spec: OperatorSpec, P: Poly, backend: str, series_order: int
+    name: str, lhs: CycloFrac, spec: OperatorSpec, backend: str, series_order: int
 ) -> CheckReport:
-    """Compare lhs with the operator value spec(P) computed by one backend:
-    exactly for geometric and delta, by a zero numerator over the common
-    denominator of lhs and the unreduced operator value, and through
-    ``series_order`` for series, on the reduced lhs."""
+    """Compare lhs with spec(q - (n+1) q^2), s = 1 - n, by one backend: exactly
+    for geometric and delta, by a zero numerator over the common denominator
+    of lhs and the unreduced operator value, and through ``series_order`` for
+    series, on the reduced lhs."""
+    P = Poly([0, 1, spec.s - 2])
     if backend in _EXACT_BACKENDS:
         ok = _is_identity([_EXACT_BACKENDS[backend](spec, P)], lhs)
     elif backend == "series":
@@ -213,7 +210,7 @@ def verify_theorem(n: int, backend: str = "geometric", series_order: int = 60) -
     name = f"beta_{n} = zeta_q({1 - n})(q - {n + 1}q^2) [{backend}]"
     spec = OperatorSpec.riemann(1 - n)
     _extend_beta_table(n)
-    return _check_relation(name, _beta_cf[n], spec, _theorem_operand(n), backend, series_order)
+    return _check_relation(name, _beta_cf[n], spec, backend, series_order)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +218,11 @@ def verify_theorem(n: int, backend: str = "geometric", series_order: int = 60) -
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _beta_poly_cf(n: int, x: Fraction) -> CycloFrac:
     """(q^x beta + [x])^n = sum_i C(n,i) q^(xi) [x]^(n-i) beta_i, assembled
-    over one cyclotomic denominator on branch b = denominator of x."""
+    over one cyclotomic denominator on branch b = denominator of x.  Cached
+    per (n, x): its callers never mutate it."""
     a, b = x.numerator, x.denominator
     _extend_beta_table(n)
     var = branch_var(b)
@@ -249,8 +248,7 @@ def beta_poly(n: int, x) -> BetaPolynomial:
         raise DomainError("beta_poly requires x > 0")
     if n < 0:
         raise ValueError("index must be >= 0")
-    cf = _beta_poly_cf(n, x)
-    return BetaPolynomial(n, x, x.denominator, cf.reduce().to_ratfunc())
+    return BetaPolynomial(n, x, x.denominator, _beta_poly_cf(n, x).to_ratfunc())
 
 
 def verify_hurwitz(
@@ -274,12 +272,30 @@ def verify_hurwitz(
         )
     lhs = _beta_poly_cf(n, x).shift(x.numerator)
     spec = OperatorSpec.hurwitz(1 - n, x)
-    return _check_relation(name, lhs, spec, _theorem_operand(n), backend, series_order)
+    return _check_relation(name, lhs, spec, backend, series_order)
 
 
 # ---------------------------------------------------------------------------
 # character analogues
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _chi_basis(N: int, n: int) -> tuple:
+    """The units j mod N, then ``raise_to_union`` (raised, den, m = 1, union)
+    of the terms F_N(q^(j/N) beta_n(j/N)) [N]^(n-1), in which no chi enters."""
+    units = [j for j in range(1, N) if gcd(j, N) == 1]
+    bracket = quantum_value(N, 1).num ** max(n - 1, 0)  # [N] as a polynomial in q
+    terms = []
+    for j in units:  # q^(j/N) = v^j on branch N, and F_N relabels v as q
+        term = _beta_poly_cf(n, Fraction(j, N)).scale_exponents(1, "q").shift(j)
+        if n:
+            terms.append(term.times_poly(bracket))
+        else:  # [N]^(-1) = (q - 1)/(q^N - 1): Phi_d for d | N, d > 1
+            terms.append(term.div_pow_one_minus_var_pow(N, 1))
+            terms[-1].phi[1] -= 1
+    raised, den, m, union = raise_to_union(terms)
+    return units, list(raised), den, m, union
 
 
 @lru_cache(maxsize=None)
@@ -289,33 +305,18 @@ def beta_chi(chi: DirichletCharacter, n: int) -> BetaChi:
     Terms with gcd(j, N) > 1 vanish with chi(j); for the others the inner
     value lives on branch N, F_N turns it into a rational function of q
     (q^(j/N) -> q^j, inner coefficients q -> q^N), and the result is
-    weighted by [N]^(n-1) and chi(j).  Cached per (chi, n), so checking
-    one character with several backends builds it once.
+    weighted by [N]^(n-1) and chi(j).  The terms come raised from the basis
+    ``_chi_basis``, cached per (N, n) over ``_beta_poly_cf`` per (n, x), and
+    add as lanes weighted by chi(j)'s coordinates.  Cached per (chi, n).
     """
     if chi.is_trivial():
         raise DomainError("beta_chi assumes a non-trivial character")
     if n < 0:
         raise ValueError("index must be >= 0")
-    N = chi.modulus
-    bracket_num = quantum_value(N, 1).num  # [N] as a polynomial in q
-    terms = []
-    for j in range(1, N):
-        cj = _chi_scalar(chi, j)
-        if not cj:
-            continue
-        x = Fraction(j, N)
-        # rebase from branch b' = denominator of j/N to branch N, multiply
-        # by q^(j/N) = v^j, and let F_N relabel branch N as q
-        term = _beta_poly_cf(n, x).scale_exponents(N // x.denominator, "q").shift(j)
-        term = term.times_scalar(cj)
-        if n >= 1:
-            term = term.times_poly(bracket_num ** (n - 1))
-        else:
-            # [N]^(n-1) = 1/[N] = (q - 1)/(q^N - 1): Phi_d for d | N, d > 1
-            term = term.div_pow_one_minus_var_pow(N, 1)
-            term.phi[1] -= 1
-        terms.append(term)
-    cf = CycloFrac.sum(terms).reduce()
+    units, raised, den, _, union = _chi_basis(chi.modulus, n)
+    weights, d, m = split_lanes(Poly([_chi_scalar(chi, j) for j in units]))
+    num = assemble_lanes(add_lanes(raised, list(zip(*weights))), den * d, m, "q")
+    cf = CycloFrac(num, union).reduce()
     return BetaChi(chi, n, cf.to_ratfunc(), cf)
 
 
@@ -337,4 +338,4 @@ def verify_chi(chi: DirichletCharacter, n: int, backend: str = "geometric") -> C
         )
     lhs = beta_chi(chi, n).cf
     spec = OperatorSpec.dirichlet_l(1 - n, chi)
-    return _check_relation(name, lhs, spec, _theorem_operand(n), backend, 40)
+    return _check_relation(name, lhs, spec, backend, 40)

@@ -7,8 +7,8 @@ of that field, and the scalar types themselves answer zero (``not c``), one
 (``c == 1``) and inverse (``Fraction(1) / c``).  All polynomials arising
 here are dense in practice, so a plain coefficient list, lowest degree
 first, is the representation of choice.
-The variable tag is symbolic only: it names the indeterminate for
-rendering and never affects arithmetic.  The hot exact paths run on
+The variable tag names the branch (``branch_var``): a sum or product of
+non-constant values on two branches raises.  The hot exact paths run on
 integer lanes (``split_lanes``): products and scales with a rational
 factor, trial division by Phi_d, the Galois norm (``norm_lanes``),
 ``CycloFrac.sum``, the Delta kernel of ``operators`` and
@@ -101,13 +101,8 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out, self.var)
+        out = [a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
+        return Poly(out, common_var((self, other)))
 
     __radd__ = __add__
 
@@ -128,13 +123,13 @@ class Poly:
             if isinstance(other, SCALARS):
                 return self.scale(other)
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b, var = self.coeffs, other.coeffs, common_var((self, other))
         if not a or not b:
-            return Poly.zero(self.var)
+            return Poly.zero(var)
         if 1 in (self.m, other.m):  # multiply each lane
             (la, da, ma), (lb, db, mb) = split_lanes(self), split_lanes(other)
             lanes = [int_poly_mul(x, y) for x in la for y in lb]  # one side has one lane
-            return assemble_lanes(lanes, da * db, max(ma, mb), self.var)
+            return assemble_lanes(lanes, da * db, max(ma, mb), var)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if not x:
@@ -142,7 +137,7 @@ class Poly:
             for j, y in enumerate(b):
                 if y:
                     out[i + j] = out[i + j] + x * y
-        return Poly(out, self.var)
+        return Poly(out, var)
 
     __rmul__ = __mul__
 
@@ -289,6 +284,14 @@ class Poly:
 def branch_var(b: int) -> str:
     """The variable on branch b: q itself, or v = q^(1/b) for b > 1."""
     return "q" if b == 1 else "v"
+
+
+def common_var(polys, var: str = "q") -> str:
+    """The variable of the non-constant polys, or var; two raise FieldMismatchError."""
+    found = {p.var for p in polys if p.degree > 0}
+    if len(found) > 1:
+        raise FieldMismatchError(f"values on different branches {', '.join(sorted(found))}")
+    return found.pop() if found else var
 
 
 def _json_coeff(c):

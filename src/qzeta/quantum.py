@@ -16,10 +16,11 @@ from .ratfunc import RatFunc
 from .series import TruncSeries
 
 
-def quantum_value(c: int, b: int, var: str = "q") -> RatFunc:
-    """(v^c - 1)/(v^b - 1) in lowest terms, i.e. [c/b] on branch b."""
+def quantum_value(c: int, b: int, var: str | None = None) -> RatFunc:
+    """(v^c - 1)/(v^b - 1) in lowest terms, i.e. [c/b] on branch b (var: branch_var(b))."""
     if c < 1 or b < 1:
         raise ValueError("quantum integer requires positive exponents")
+    var = var or branch_var(b)
     g = gcd(c, b)
     num = Poly([1 if i % g == 0 else 0 for i in range(c - g + 1)], var)
     if b == g:
@@ -59,7 +60,7 @@ def quantum_int(index, branch: int | None = None) -> QuantumInt:
     if branch < 1 or (branch * index).denominator != 1:
         raise ValueError(f"index {index} is not representable on branch {branch}")
     c = int(branch * index)
-    return QuantumInt(index, branch, quantum_value(c, branch, branch_var(branch)))
+    return QuantumInt(index, branch, quantum_value(c, branch))
 
 
 def frobenius(f, n):

@@ -14,8 +14,8 @@ from math import lcm
 
 from .arith import cyclotomic_int_coeffs, divisors, int_poly_add, int_poly_mul, phi_factor_indices
 from .fields import SCALARS, FieldMismatchError
-from .poly import (Poly, assemble_lanes, cyclotomic_coprime, divide_out_cyclotomic, poly_gcd,
-                   split_lanes)
+from .poly import (Poly, assemble_lanes, common_var, cyclotomic_coprime, divide_out_cyclotomic,
+                   poly_gcd, split_lanes)
 
 
 class PoleError(ZeroDivisionError):
@@ -103,11 +103,6 @@ class RatFunc:
         # common factor of the denominators; any common factor of the
         # resulting numerator and denominator must divide it
         g = poly_gcd(self.den, other.den)
-        if g.degree == 0:
-            num = self.num * other.den + other.num * self.den
-            if num.is_zero():
-                return RatFunc.zero(self.var)
-            return RatFunc(num, self.den * other.den, _canonical=True)
         da = self.den.exact_div(g)
         db = other.den.exact_div(g)
         num = self.num * db + other.num * da
@@ -258,9 +253,6 @@ class CycloFrac:
     def zero(cls, var: str = "q") -> "CycloFrac":
         return cls(Poly.zero(var))
 
-    def copy(self) -> "CycloFrac":
-        return CycloFrac(self.num, Counter(self.phi))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -275,15 +267,12 @@ class CycloFrac:
 
     def div_one_minus(self, e: int) -> "CycloFrac":
         """Divide by (1 - v^e) = -prod_{d | e} Phi_d(v)."""
-        phi = Counter(self.phi)
-        for d in divisors(e):
-            phi[d] += 1
-        return CycloFrac(-self.num, phi)
+        return CycloFrac(-self.num, self.phi).div_pow_one_minus_var_pow(e, 1)
 
     def div_pow_one_minus_var_pow(self, b: int, m: int) -> "CycloFrac":
         """Divide by (v^b - 1)^m."""
         if m == 0:
-            return self.copy()
+            return CycloFrac(self.num, self.phi)
         phi = Counter(self.phi)
         for d in divisors(b):
             phi[d] += m
@@ -300,26 +289,13 @@ class CycloFrac:
 
     @staticmethod
     def sum(terms, var: str = "q") -> "CycloFrac":
-        """The sum over the least common denominator: the union of the
-        terms' Phi multisets, with each numerator multiplied once by the
-        factors it lacks, on integer lanes (a term over Q is lane 0)."""
+        """The sum over the least common denominator: raise_to_union, then add_lanes."""
         terms = [t for t in terms if not t.is_zero()]
+        var = common_var((t.num for t in terms), var)
         if len(terms) <= 1:
-            return terms[0].copy() if terms else CycloFrac.zero(var)
-        m = max(t.num.m for t in terms)
-        if any(t.num.m not in (1, m) for t in terms):
-            raise FieldMismatchError(f"terms over Q(zeta_{m}) and another cyclotomic field")
-        union = Counter()
-        for t in terms:
-            union |= t.phi
-        split = [split_lanes(t.num) for t in terms]
-        den = lcm(*(d for _, d, _ in split))
-        acc = [[] for _ in range(max(len(lanes) for lanes, _, _ in split))]
-        for t, (lanes, d, _) in zip(terms, split):
-            f = [c * (den // d) for c in _phi_product(union - t.phi)]
-            for lane, out in zip(lanes, acc):
-                int_poly_add(out, int_poly_mul(lane, f), 0, 1)
-        return CycloFrac(assemble_lanes(acc, den, m, var), union)
+            return CycloFrac(terms[0].num, terms[0].phi) if terms else CycloFrac.zero(var)
+        raised, den, m, union = raise_to_union(terms)
+        return CycloFrac(assemble_lanes(add_lanes(raised, [[1]] * len(terms)), den, m, var), union)
 
     def __add__(self, other: "CycloFrac") -> "CycloFrac":
         if not isinstance(other, CycloFrac):
@@ -331,11 +307,8 @@ class CycloFrac:
 
     def reduce(self) -> "CycloFrac":
         """Cancel every cyclotomic factor that divides the numerator."""
-        if self.num.is_zero():
-            out = CycloFrac(self.num)
-        else:
-            num, cancelled = divide_out_cyclotomic(self.num, self.phi)
-            out = CycloFrac(num, self.phi - Counter(dict(cancelled)))
+        num, cancelled = divide_out_cyclotomic(self.num, self.phi)
+        out = CycloFrac(num, self.phi - Counter(dict(cancelled)))
         out.reduced = True
         return out
 
@@ -357,6 +330,38 @@ class CycloFrac:
 
     def __repr__(self):
         return f"CycloFrac({self.num!r}, {dict(self.phi)})"
+
+
+def raise_to_union(terms) -> tuple:
+    """(raised, den, m, union) for nonzero terms over Q or one Q(zeta_m): the
+    union of their Phi multisets, and a generator of each term's integer lanes
+    (one over Q) times the factors it lacks, over the common denominator den."""
+    m = max(t.num.m for t in terms)
+    if any(t.num.m not in (1, m) for t in terms):
+        raise FieldMismatchError(f"terms over Q(zeta_{m}) and another cyclotomic field")
+    union = Counter()
+    for t in terms:
+        union |= t.phi
+    split = [split_lanes(t.num) for t in terms]
+    den = lcm(*(d for _, d, _ in split))
+
+    def raised():
+        for t, (lanes, d, _) in zip(terms, split):
+            f = [c * (den // d) for c in _phi_product(union - t.phi)]
+            yield [int_poly_mul(lane, f) for lane in lanes]
+    return raised(), den, m, union
+
+
+def add_lanes(raised, weights) -> list[list[int]]:
+    """The lanes of sum_t weights[t] * raised[t], each given by its integer
+    lanes; for every t one of the two has one lane (over Q)."""
+    acc = []
+    for lanes, w in zip(raised, weights):
+        acc += [[] for _ in range(len(lanes) * len(w) - len(acc))]
+        for out, lane, c in zip(acc, lanes * len(w), w * len(lanes)):
+            if c:
+                int_poly_add(out, lane, 0, c)
+    return acc
 
 
 def _phi_product(phi: Counter) -> list[int]:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from qzeta import carlitz
 from qzeta.poly import Poly
 from qzeta.ratfunc import RatFunc
 
@@ -40,3 +41,21 @@ def ratfuncs(draw):
 @pytest.fixture
 def q():
     return Poly.variable()
+
+
+# carlitz's lru caches, taken before any test can monkeypatch one away
+CARLITZ_CACHES = [f for f in vars(carlitz).values()
+                  if hasattr(f, "cache_clear") and f.__module__ == carlitz.__name__]
+
+
+@pytest.fixture
+def cold_carlitz():
+    """Every lru_cache of qzeta.carlitz cleared before and after the test;
+    the test gets the clearing function for a reset of its own."""
+    def clear():
+        for f in CARLITZ_CACHES:
+            f.cache_clear()
+
+    clear()
+    yield clear
+    clear()

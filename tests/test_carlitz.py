@@ -1,11 +1,12 @@
 """Bernoulli-Carlitz fractions and the verification pipelines."""
 import hashlib
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 from qzeta import carlitz, ratfunc
+from qzeta.arith import euler_phi
 from qzeta.carlitz import (
     BetaChi,
     bernoulli_number,
@@ -232,7 +233,7 @@ def test_verify_chi_complex_over_gaussian_field():
     assert beta_chi(chi, 2).value.num.field_key() == ("cyc", 4)
 
 
-def test_beta_chi_built_once_across_exact_backends(monkeypatch):
+def test_beta_chi_built_once_across_exact_backends(monkeypatch, cold_carlitz):
     calls = []
     build = carlitz._beta_poly_cf
 
@@ -241,7 +242,6 @@ def test_beta_chi_built_once_across_exact_backends(monkeypatch):
         return build(n, x)
 
     monkeypatch.setattr(carlitz, "_beta_poly_cf", counted)
-    carlitz.beta_chi.cache_clear()
     chi = character(5, 1)
     assert verify_chi(chi, 2, "geometric").passed
     built = len(calls)
@@ -289,7 +289,7 @@ def test_character_values_are_pinned():
     assert hashlib.sha256(chi_transcript().encode()).hexdigest() == CHI_TRANSCRIPT_SHA256
 
 
-def test_complex_characters_divide_nothing_over_cyclotomic_fields(monkeypatch):
+def test_complex_characters_divide_nothing_over_cyclotomic_fields(monkeypatch, cold_carlitz):
     # the benchmark's six complex characters (order 4 mod 5, 3 and 6 mod 7):
     # trial division and the canonical form run on integer lanes, and the
     # norm certificate spares them the gcd fallback
@@ -302,7 +302,6 @@ def test_complex_characters_divide_nothing_over_cyclotomic_fields(monkeypatch):
         return divmod_(self, other)
 
     monkeypatch.setattr(Poly, "__divmod__", counting)
-    beta_chi.cache_clear()
     chars = {(5, 1): 3, (5, 3): 3, (7, 1): 2, (7, 2): 2, (7, 4): 2, (7, 5): 2}
     for (N, index), top in chars.items():
         chi = character(N, index)
@@ -313,7 +312,7 @@ def test_complex_characters_divide_nothing_over_cyclotomic_fields(monkeypatch):
     assert calls == []
 
 
-def test_complex_characters_add_no_cycrat_values(monkeypatch):
+def test_complex_characters_add_no_cycrat_values(monkeypatch, cold_carlitz):
     # the same six characters: CycloFrac.sum, the Delta kernel and the
     # canonical form add on integer lanes, never two CycRat coefficients,
     # and a scale with one rational side (chi(j) on a rational numerator, a
@@ -328,7 +327,6 @@ def test_complex_characters_add_no_cycrat_values(monkeypatch):
 
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         monkeypatch.setattr(CycRat, name, counting(getattr(CycRat, name)))
-    beta_chi.cache_clear()
     for N, index in ((5, 1), (5, 3), (7, 1), (7, 2), (7, 4), (7, 5)):
         chi = character(N, index)
         for n in range(1, 4):
@@ -349,12 +347,13 @@ def exact_relations():
     return cases
 
 
-def test_perturbed_left_side_fails_every_exact_relation(monkeypatch):
+def test_perturbed_left_side_fails_every_exact_relation(monkeypatch, cold_carlitz):
     assert all(check(*args).passed for check, args in exact_relations())
     q3 = CycloFrac(Poly.monomial(3))
     table = list(carlitz._beta_cf)  # beta_7 is built: the relations above read it
     table[7] = table[7] + q3
     monkeypatch.setattr(carlitz, "_beta_cf", table)
+    cold_carlitz()  # the cached Hurwitz left side was built from the unperturbed table
     real = beta_chi
 
     def perturbed(chi, n):
@@ -376,3 +375,112 @@ def test_exact_relations_reduce_no_operator_value(monkeypatch):
                         lambda p, indices: calls.append(p) or coprime(p, indices))
     assert all(check(*args).passed for check, args in exact_relations())
     assert calls == []
+
+
+# -- classical oracles at q = 1 --------------------------------------------------
+
+
+def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
+    """B_n(x) = sum_k C(n, k) B_k x^(n-k), from bernoulli_number alone."""
+    return sum(comb(n, k) * bernoulli_number(k) * x ** (n - k) for k in range(n + 1))
+
+
+def generalized_bernoulli(chi, n: int) -> CycRat:
+    """B_{n,chi} = f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f) for f the modulus of
+    chi, from bernoulli_number and the character values alone."""
+    f = chi.modulus
+    terms = (chi(a) * bernoulli_polynomial(n, Fraction(a, f)) for a in range(1, f + 1))
+    return Fraction(f) ** (n - 1) * sum(terms, CycRat(1))
+
+
+# x with denominator <= 6 in (0, 1], and two points past 1
+ORACLE_X = [Fraction(a, b) for b in range(1, 7) for a in range(1, b + 1) if gcd(a, b) == 1]
+ORACLE_X += [Fraction(3, 2), Fraction(7, 6)]
+
+
+def test_beta_poly_at_one_is_the_bernoulli_polynomial():
+    for x in ORACLE_X:
+        for n in range(13):
+            assert beta_poly(n, x).value(1) == bernoulli_polynomial(n, x), (n, x)
+
+
+@pytest.mark.parametrize("N", range(3, 13))
+def test_beta_chi_at_one_is_the_generalized_bernoulli_number(N):
+    # n <= 12, except n <= 6 over Q(zeta_5) (mod 11, orders 5 and 10), where
+    # the norm certificate of the canonical form takes about 30 s past n = 6
+    for chi in characters(N):
+        if chi.is_trivial():
+            continue
+        for n in range(13 if euler_phi(chi.order) <= 2 else 7):
+            value = beta_chi(chi, n).value(1)
+            assert value == generalized_bernoulli(chi, n), (chi, n)
+            if chi(N - 1) != (-1) ** n:  # parity: B_{n,chi} = 0 unless chi(-1) = (-1)^n
+                assert value == 0, (chi, n)
+
+
+def test_oracles_reject_a_perturbed_left_side(monkeypatch, cold_carlitz):
+    x, chi, n = Fraction(2, 5), character(5, 1), 2
+    assert beta_poly(n, x).value(1) == bernoulli_polynomial(n, x)
+    assert beta_chi(chi, n).value(1) == generalized_bernoulli(chi, n)
+    real_cf, real_basis = carlitz._beta_poly_cf, carlitz._chi_basis
+    one = CycloFrac(Poly([1]))
+    monkeypatch.setattr(carlitz, "_beta_poly_cf", lambda n, x: real_cf(n, x) + one)
+    assert beta_poly(n, x).value(1) != bernoulli_polynomial(n, x)
+    monkeypatch.setattr(carlitz, "_beta_poly_cf", real_cf)
+
+    def perturbed(N, n):
+        # the term of j = 1 counted twice, in new lists: the cached basis stays as it is
+        units, raised, den, m, union = real_basis(N, n)
+        return units, [[[2 * c for c in raised[0][0]]], *raised[1:]], den, m, union
+
+    monkeypatch.setattr(carlitz, "_chi_basis", perturbed)
+    cold_carlitz()
+    assert beta_chi(chi, n).value(1) != generalized_bernoulli(chi, n)
+
+
+def test_beta_chi_folds_a_weight_denominator(monkeypatch, cold_carlitz):
+    # character values have integral coordinates on the powers of zeta; weights
+    # with a denominator (here every chi(j) halved) must give half the value
+    chi, real = character(5, 1), carlitz._chi_scalar
+    whole = beta_chi(chi, 3).value
+    monkeypatch.setattr(carlitz, "_chi_scalar", lambda chi, j: real(chi, j) * Fraction(1, 2))
+    cold_carlitz()
+    assert beta_chi(chi, 3).value == whole * Fraction(1, 2)
+
+
+# the relations benchmark's eight characters and their n
+BENCHMARK_CHARS = {(5, 2): range(1, 7), (7, 3): range(1, 7), (5, 1): range(1, 4),
+                   (5, 3): range(1, 4), (7, 1): range(1, 3), (7, 2): range(1, 3),
+                   (7, 4): range(1, 3), (7, 5): range(1, 3)}
+
+
+def test_character_relations_build_each_term_once(cold_carlitz):
+    # one basis per (modulus, n) serves every character: 12 bases and 60
+    # values q^(j/N) beta_n(j/N) for the units j, where building every
+    # character's terms anew took 132
+    for (N, index), ns in BENCHMARK_CHARS.items():
+        for n in ns:
+            for backend in ("geometric", "delta"):
+                assert verify_chi(character(N, index), n, backend).passed
+    assert carlitz._beta_poly_cf.cache_info().misses <= 60
+    assert carlitz._chi_basis.cache_info().misses == 12
+
+
+def test_cached_values_are_never_mutated(cold_carlitz):
+    xs, ns, chis = (Fraction(1, 2), Fraction(2, 5)), (1, 3), (character(5, 1), character(5, 2))
+
+    def snapshot():
+        return ([repr(carlitz._beta_poly_cf(n, x)) for n in ns for x in xs]
+                + [repr(carlitz._chi_basis(5, n)) for n in ns])
+
+    before = snapshot()
+    for n in ns:
+        for x in xs:
+            beta_poly(n, x)
+            for backend in ("geometric", "delta", "series"):
+                assert verify_hurwitz(n, x, backend).passed
+        for chi in chis:
+            beta_chi(chi, n)
+            for backend in ("geometric", "delta"):
+                assert verify_chi(chi, n, backend).passed
+    assert snapshot() == before

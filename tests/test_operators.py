@@ -305,15 +305,14 @@ def test_checks_fail_on_a_wrong_hurwitz_value(monkeypatch):
     assert check_chi_decomposition(character(4, 1), -1, 1).passed is False
 
 
-def test_checks_make_no_ratfunc_sums_or_products(monkeypatch):
-    from qzeta.carlitz import beta_chi, genfun_check, verify_chi, verify_hurwitz
+def test_checks_make_no_ratfunc_sums_or_products(monkeypatch, cold_carlitz):
+    from qzeta.carlitz import genfun_check, verify_chi, verify_hurwitz
 
     def refuse(self, other):
         raise AssertionError("RatFunc arithmetic in an identity check")
 
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         monkeypatch.setattr(RatFunc, name, refuse)
-    beta_chi.cache_clear()
     for backend in ("geometric", "delta"):
         assert verify_hurwitz(3, Fraction(1, 2), backend).passed
         assert verify_hurwitz(2, Fraction(2, 3), backend).passed

@@ -41,6 +41,16 @@ def test_gcd_with_zero_is_monic():
     assert poly_gcd(Poly.zero(), Poly.zero()).is_zero()
 
 
+def test_values_on_different_branches_do_not_mix():
+    q, v = Poly([0, 1], "q"), Poly([0, 1], "v")
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(FieldMismatchError):
+            op(q, v)
+    # a constant carries no branch and takes the other operand's
+    assert (Poly([2]) + v).var == "v" and (Poly([3]) * v).var == "v"
+    assert (v - Poly([1], "q")).var == "v" and Poly([2], "v") * Poly([3]) == 6
+
+
 def test_gcd_rejects_mixed_fields():
     a = Poly([CycRat.zeta_power(4, 1)])
     b = Poly([CycRat.zeta_power(3, 1)])

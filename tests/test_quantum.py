@@ -51,6 +51,12 @@ def test_shift_identity_rational(x, n):
     assert lhs == quantum_value(n * b + a, b)
 
 
+def test_quantum_value_is_on_its_branch():
+    assert quantum_value(3, 1).var == "q"
+    assert quantum_value(3, 2).var == "v" and quantum_value(4, 2).var == "v"
+    assert quantum_value(3, 2, "w").var == "w"
+
+
 def test_frobenius_examples():
     assert frobenius(Poly([0, 1, 0, 1]), 2) == Poly([0, 0, 1, 0, 0, 0, 1])
     f = RatFunc(Poly([1]), Poly([1, -1]))

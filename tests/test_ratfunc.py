@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from conftest import ratfuncs, small_fractions
 from qzeta.arith import cyclotomic_int_coeffs, euler_phi, int_poly_divmod_monic
 from qzeta.fields import CycRat, FieldMismatchError
-from qzeta.poly import Poly, cyclotomic, cyclotomic_coprime, norm_lanes, poly_gcd, split_lanes
+from qzeta.poly import (Poly, assemble_lanes, cyclotomic, cyclotomic_coprime, norm_lanes, poly_gcd,
+                        split_lanes)
 from qzeta.quantum import frobenius
-from qzeta.ratfunc import CycloFrac, PoleError, RatFunc
+from qzeta.ratfunc import CycloFrac, PoleError, RatFunc, add_lanes, raise_to_union
 
 
 def test_normalize_cancellation():
@@ -207,11 +208,40 @@ def test_cyclofrac_sum_matches_poly_arithmetic(terms):
     assert (got.num, got.phi) == reference_sum(terms)
 
 
+@given(st.data())
+def test_weighted_lanes_match_poly_arithmetic(data):
+    # beta_chi's route: terms over Q raised once, then added with nonzero
+    # weights in Q(zeta_m) whose coordinates need not be integers
+    m = data.draw(st.sampled_from([1, 3, 4, 8]))
+    coords = st.lists(small_fractions, min_size=euler_phi(m), max_size=euler_phi(m)).filter(any)
+    nums = st.lists(small_fractions, max_size=4).filter(any)
+    phis = st.dictionaries(st.integers(1, 8), st.integers(1, 2), max_size=3)
+    count = data.draw(st.integers(1, 4))
+    terms = [CycloFrac(Poly(data.draw(nums)), data.draw(phis)) for _ in range(count)]
+    weights = [CycRat(m, data.draw(coords)) for _ in terms]
+    raised, den, _, union = raise_to_union(terms)
+    lanes, d, k = split_lanes(Poly(weights))
+    got = assemble_lanes(add_lanes(raised, list(zip(*lanes))), den * d, k, "q")
+    assert (got, union) == reference_sum([t.times_scalar(w) for t, w in zip(terms, weights)])
+
+
 def test_cyclofrac_sum_refuses_two_cyclotomic_fields():
     a = CycloFrac(Poly([0, CycRat.zeta_power(3, 1)])).div_one_minus(1)
     b = CycloFrac(Poly([CycRat.zeta_power(4, 1)])).div_one_minus(2)
     with pytest.raises(FieldMismatchError):
         CycloFrac.sum([a, b])
+
+
+def test_cyclofrac_sum_refuses_two_branches():
+    q = CycloFrac(Poly([0, 1], "q"))
+    v = CycloFrac(Poly([0, 1], "v"))
+    with pytest.raises(FieldMismatchError):
+        q + v
+    with pytest.raises(FieldMismatchError):
+        CycloFrac.sum([q.div_one_minus(1), v.div_one_minus(2)], "v")
+    # a constant term carries no branch: the sum is on the other term's
+    assert (CycloFrac(Poly([1])) + v).num == Poly([1, 1], "v")
+    assert (CycloFrac(Poly([1])) + v).num.var == "v"
 
 
 def test_cyclofrac_scale_exponents_splits_phi():
