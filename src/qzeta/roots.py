@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf, isqrt, log10, pi
+from math import gcd, inf, isqrt, ldexp, log10, pi
 
 import numpy as np
 
@@ -78,6 +78,11 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 400) -> list[complex
     """
     if not isinstance(p, Poly) or p.is_zero():
         raise ValueError("find_roots needs a nonzero polynomial")
+    if p.m != 1:
+        raise ValueError(f"find_roots needs rational coefficients, not Q(zeta_{p.m})")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    bits = _working_bits(tol)
     if p.degree < 1:
         return []
     coeffs, _ = clear_denominators(p.coeffs)
@@ -93,7 +98,7 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 400) -> list[complex
         roots.append(complex(Fraction(-coeffs[0], coeffs[1])))
         return roots
     start = _warm_start(coeffs)
-    roots.extend(_aberth_fixed(coeffs, start, tol, max_iter, _working_bits(tol)))
+    roots.extend(_aberth_fixed(coeffs, start, tol, max_iter, bits))
     return roots
 
 
@@ -101,6 +106,8 @@ def _working_bits(tol: float) -> int:
     """Fixed-point fractional bits for a target tol: 25 decimal digits
     beyond tol and at least 40, converted with one guard digit at log2(10)
     bits per digit (3321928094887362 / 10^15), rounded to the nearest bit."""
+    if not 0 < tol < inf:  # NaN fails the comparison too
+        raise ValueError("tol must be a positive finite number")
     digits = max(40, int(-log10(tol)) + 25)
     return ((digits + 1) * 3321928094887362 + 5 * 10**14) // 10**15
 
@@ -131,13 +138,17 @@ def _warm_start(coeffs: list[int]) -> list[complex]:
     a0 = abs(coeffs[0] / scale)
     r0 = a0 ** (1.0 / deg) if a0 > 0 else 1.0
     z = _circle_starts(deg, r0)
-    dcs = np.polyder(cs_desc)
+    # np.polyval's steps for p and p' (a leading 0 keeps the rows in step)
+    cols = list(np.stack([cs_desc, np.append(0.0, np.polyder(cs_desc))], axis=1)[:, :, None])
     resets = 0
     best, stalled = inf, 0
     with np.errstate(all="ignore"):
         for _ in range(600):
-            pz = np.polyval(cs_desc, z)
-            dz = np.polyval(dcs, z)
+            y = np.zeros((2, deg), complex)
+            for col in cols:
+                np.multiply(y, z, out=y)
+                y += col
+            pz, dz = y
             w = pz / np.where(np.abs(dz) < 1e-300, 1.0, dz)
             diffs = z[:, None] - z[None, :]
             np.fill_diagonal(diffs, np.inf)
@@ -173,17 +184,16 @@ def _aberth_fixed(coeffs: list[int], start, tol: float, max_iter: int, bits: int
     integer arithmetic; the Newton ratio, the Aberth sum and the correction
     need relative accuracy only, so they are doubles.  The sum takes each
     difference z_i - z_j from a double-double split of the iterates, which
-    keeps it accurate for clustered roots.
+    keeps it accurate for clustered roots.  Doubles enter fixed point by _fixed.
     """
     deg = len(coeffs) - 1
     one = 1 << bits
-    zr = [int(Fraction(w.real) * one) for w in start]
-    zi = [int(Fraction(w.imag) * one) for w in start]
+    zr = [_fixed(w.real, bits) for w in start]
+    zi = [_fixed(w.imag, bits) for w in start]
     freeze = tol / 8  # roots this settled stop moving but keep repelling
     done = [False] * deg
-    last_update = None
     for _ in range(max_iter):
-        (re_hi, re_lo), (im_hi, im_lo) = _split(zr, one), _split(zi, one)
+        (re_hi, re_lo), (im_hi, im_lo) = _split(zr, bits), _split(zi, bits)
         z_hi = re_hi + 1j * im_hi
         z_lo = re_lo + 1j * im_lo
         with np.errstate(all="ignore"):
@@ -204,37 +214,40 @@ def _aberth_fixed(coeffs: list[int], start, tol: float, max_iter: int, bits: int
                     w = complex((pr * dr + pi_ * di) / den, (pi_ * dr - pr * di) / den)
                 denom = 1 - w * complex(sums[i])
                 corr = w / denom if denom != 0 else w
-            except OverflowError:
-                corr = complex(inf)
-            if not cmath.isfinite(corr):
+                steps.append((i, _fixed(corr.real, bits), _fixed(corr.imag, bits)))
+            except (OverflowError, ValueError):  # Fraction(inf) and Fraction(NaN) raise too
                 raise RootFindingError(
                     "Aberth iteration diverged",
                     roots=[complex(r / one, s / one) for r, s in zip(zr, zi)],
                     max_update=inf,
-                )
-            steps.append((i, corr))
+                ) from None
             au = abs(corr)
             if au < freeze:
                 done[i] = True
             max_update = max(max_update, au)
-        for i, corr in steps:
-            zr[i] -= int(Fraction(corr.real) * one)
-            zi[i] -= int(Fraction(corr.imag) * one)
-        last_update = max_update
+        for i, sr, si in steps:
+            zr[i] -= sr
+            zi[i] -= si
         if max_update < tol:
             return [complex(r / one, s / one) for r, s in zip(zr, zi)]
     raise RootFindingError(
         f"Aberth iteration did not converge below {tol} in {max_iter} sweeps "
-        f"(last update {last_update:.3e})",
+        f"(last update {max_update:.3e})",
         roots=[complex(r / one, s / one) for r, s in zip(zr, zi)],
-        max_update=last_update,
+        max_update=max_update,
     )
 
 
-def _split(xs: list[int], one: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-point values x / one as double-double pairs hi + lo."""
+def _fixed(x: float, bits: int) -> int:
+    """int(Fraction(x) * 2^bits): exactly ldexp while x 2^bits < 2^1024, Fraction past it."""
+    return int(ldexp(x, bits)) if abs(x) < 2.0 ** (1024 - bits) else int(Fraction(x) * (1 << bits))
+
+
+def _split(xs: list[int], bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """x / 2^bits as double-double pairs: hi rounded, lo = x / 2^bits - hi."""
+    one = 1 << bits
     hi = [x / one for x in xs]
-    lo = [(x - int(Fraction(h) * one)) / one for x, h in zip(xs, hi)]
+    lo = [(x - _fixed(h, bits)) / one for x, h in zip(xs, hi)]
     return np.array(hi), np.array(lo)
 
 
@@ -247,6 +260,14 @@ def _horner_fixed(coeffs: list[int], xr: int, xi: int, bits: int):
         dr, di = ((dr * xr - di * xi) >> bits) + pr, ((dr * xi + di * xr) >> bits) + pi_
         pr, pi_ = ((pr * xr - pi_ * xi) >> bits) + (c << bits), (pr * xi + pi_ * xr) >> bits
     return pr, pi_, dr, di
+
+
+def _horner_value(coeffs: list[int], xr: int, xi: int, bits: int):
+    """p(x) alone, by the recurrence of _horner_fixed, scaled by 2^bits."""
+    pr, pi_ = coeffs[-1] << bits, 0
+    for c in reversed(coeffs[:-1]):
+        pr, pi_ = ((pr * xr - pi_ * xi) >> bits) + (c << bits), (pr * xi + pi_ * xr) >> bits
+    return pr, pi_
 
 
 def _classify_one(z: complex, tol_circle: float, tol_real: float) -> str:
@@ -280,20 +301,18 @@ _RESIDUAL_BITS = _working_bits(1e-15)  # 136, the solver's bits at tol >= 1e-15
 def _residuals(coeffs: list[int], roots: list[complex]) -> list[float]:
     """|p(z)| normalized by max|coeff| * max(1, |z|)^deg.
 
-    p(z) comes from the fixed-point Horner at _RESIDUAL_BITS fractional
-    bits; the solver's roots are multiples of 2^-136, so they convert
-    exactly.  The quotient is taken in integers: |p(z)| 2^bits to at least
-    120 bits by isqrt, then one correctly rounded integer division.
+    p(z) comes from the value-only fixed-point Horner at _RESIDUAL_BITS
+    fractional bits; the solver's roots are multiples of 2^-136, so _fixed
+    converts them exactly.  The quotient is taken in
+    integers: |p(z)| 2^bits to at least 120 bits by isqrt, then one
+    correctly rounded integer division.
     """
     deg = len(coeffs) - 1
     scale = max(abs(c) for c in coeffs)
     bits = _RESIDUAL_BITS
-    one = 1 << bits
     out = []
     for z in roots:
-        pr, pi_, _, _ = _horner_fixed(
-            coeffs, int(Fraction(z.real) * one), int(Fraction(z.imag) * one), bits
-        )
+        pr, pi_ = _horner_value(coeffs, _fixed(z.real, bits), _fixed(z.imag, bits), bits)
         sq = pr * pr + pi_ * pi_
         k = max(0, 121 - sq.bit_length() // 2)
         val = isqrt(sq << (2 * k))  # floor(|p(z)| 2^(bits + k))
@@ -319,6 +338,7 @@ def beta_root_survey(
     """
     if n_max < 2:
         raise ValueError("survey needs n_max >= 2")
+    _working_bits(tol)  # rejects a tol that is not positive and finite
     from .carlitz import beta, beta_chi
 
     if chi is not None and not chi.is_real():
@@ -340,9 +360,7 @@ def beta_root_survey(
         residual_poly, cyclo_factors = divide_out_cyclotomic(stripped, limits)
         roots: list[complex] = []
         for d, mult in cyclo_factors:
-            unity = [
-                cmath.exp(2j * pi * k / d) for k in range(d) if gcd(k, d) == 1
-            ] if d > 1 else [1 + 0j]
+            unity = [cmath.exp(2j * pi * k / d) for k in range(d) if gcd(k, d) == 1]
             roots.extend(unity * mult)
         if residual_poly.degree >= 1:
             roots.extend(find_roots(residual_poly, tol))

@@ -218,3 +218,15 @@ def test_lemma_commute(capsys):
         capsys, "lemma", "commute-check", "--max-mn", "3", "--s", "-2", "--r-max", "2"
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-12", "nan"])
+def test_roots_survey_rejects_a_tol_that_is_not_positive_and_finite(capsys, tol):
+    message = "tol must be a positive finite number"
+    code, out, err = run(capsys, "roots", "survey", "--max-n", "4", f"--tol={tol}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = run(
+        capsys, "roots", "survey", "--max-n", "4", f"--tol={tol}", "--format", "json"
+    )
+    assert code == 2
+    assert json.loads(out) == {"error": {"type": "ValueError", "message": message}}

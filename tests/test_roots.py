@@ -1,10 +1,18 @@
 """Root finding and the numerator survey."""
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qzeta.carlitz import beta
 from qzeta.characters import character
 from qzeta.poly import Poly, cyclotomic
-from qzeta.roots import beta_root_survey, classify_roots, find_roots
+from qzeta.roots import (
+    _RESIDUAL_BITS,
+    _working_bits,
+    beta_root_survey,
+    classify_roots,
+    find_roots,
+)
 
 
 def test_roots_of_quadratic():
@@ -224,3 +232,159 @@ def test_warm_start_stops_when_it_stalls(monkeypatch):
     monkeypatch.setattr(roots.np, "polyval", counting)
     roots._warm_start(ints)
     assert calls // 2 <= 100  # p and p' once per sweep
+
+
+# census for n = 22..26, captured before the conversions moved to ldexp
+CENSUS_22_TO_26 = {
+    22: (20, 92, 36, 0), 23: (20, 95, 36, 0), 24: (22, 108, 44, 0),
+    25: (22, 103, 52, 0), 26: (24, 118, 60, 0),
+}
+
+
+def test_census_22_to_26_is_pinned():
+    reports = [rep for rep in beta_root_survey(26) if rep.n >= 22]
+    assert {rep.n: tuple(rep.counts[k] for k in CENSUS_KEYS) for rep in reports} == CENSUS_22_TO_26
+
+
+def _survey_digest(reports):
+    import hashlib
+
+    h = hashlib.sha256()
+    for rep in reports:
+        h.update(repr((rep.n, rep.roots, rep.residuals)).encode())
+    return h.hexdigest()
+
+
+def test_survey_roots_and_residuals_are_bit_identical_to_the_fraction_kernels():
+    # sha256 of repr of every root and residual, taken when every float ->
+    # fixed conversion went through Fraction and the residuals through
+    # _horner_fixed; numpy's float64 kernels on x86-64 gave these
+    assert _survey_digest(beta_root_survey(16)) == (
+        "3e21fd7eff94c6641e697a9baec51d948a4604edb617a9a57a23a1eb23be30ee"
+    )
+    assert _survey_digest(beta_root_survey(8, chi=character(5, 2))) == (
+        "a0c238e097cf056bbce52de17c374c48be7d98effdec266f919005418a4db293"
+    )
+
+
+def test_find_roots_rejects_max_iter_below_one():
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        find_roots(Poly([-2, 0, 1]), max_iter=0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), float("inf")])
+def test_tol_must_be_positive_and_finite(tol):
+    message = "tol must be a positive finite number"
+    for p in (Poly([-2, 0, 1]), Poly([7])):
+        with pytest.raises(ValueError, match=message):
+            find_roots(p, tol)
+    with pytest.raises(ValueError, match=message):
+        beta_root_survey(3, tol=tol)
+
+
+def test_find_roots_names_a_cyclotomic_coefficient_field():
+    from qzeta.fields import CycRat
+
+    with pytest.raises(ValueError, match=r"rational coefficients, not Q\(zeta_4\)"):
+        find_roots(Poly([CycRat(4, [0, 1]), 1]))
+
+
+def _ldexp_limit(bits):
+    import math
+
+    return math.nextafter(2.0 ** (1024 - bits), 0.0)  # largest |x| ldexp(x, bits) can scale
+
+
+# +-0, the smallest subnormals, one with a fraction part, 1/3, the largest double
+_FLOAT_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308 / 3, 1 / 3, -1.7976931348623157e308
+]
+
+
+@pytest.mark.parametrize(
+    "bits", [_working_bits(1e-12), _RESIDUAL_BITS, _working_bits(1e-30)],
+    ids=["solver", "residual", "tol-1e-30"],
+)
+@given(x=st.sampled_from(_FLOAT_EDGES) | st.floats(allow_nan=False, allow_infinity=False))
+def test_ldexp_truncates_as_the_fraction_product(bits, x):
+    from fractions import Fraction
+    from math import ldexp
+
+    limit = _ldexp_limit(bits)
+    for y in (x, limit, -limit):
+        if abs(y) <= limit:
+            assert int(ldexp(y, bits)) == int(Fraction(y) * (1 << bits))
+        else:
+            with pytest.raises(OverflowError):
+                ldexp(y, bits)
+    with pytest.raises(OverflowError):
+        ldexp(2.0 ** (1024 - bits), bits)
+
+
+@pytest.mark.parametrize("bits", [136, 1083])
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_fixed_is_the_fraction_product_for_every_finite_float(bits, x):
+    from fractions import Fraction
+
+    from qzeta.roots import _fixed
+
+    assert _fixed(x, bits) == int(Fraction(x) * (1 << bits))
+
+
+def test_corrections_beyond_the_ldexp_range_are_applied_exactly():
+    # at 1000 bits ldexp overflows past 2^24: the starts at +-1e8 and the
+    # first corrections (about 6.7e7) take the Fraction path and converge
+    from qzeta.roots import _aberth_fixed
+
+    assert 1e8 > _ldexp_limit(1000)
+    roots = _aberth_fixed([-2, 0, 1], [1e8 + 0j, -1e8 + 0j], 1e-12, 400, 1000)
+    assert roots == [1.4142135623730951 + 0j, -1.4142135623730951 + 0j]
+    # tol = 1e-300 works at 1083 bits, where even the starts leave ldexp's range
+    assert find_roots(Poly([-2, 0, 1]), tol=1e-300) == roots
+
+
+def test_an_overflowing_newton_step_ends_in_root_finding_error():
+    # p'(0) = 0, so the step is p(0) = 10^400, which no double holds
+    from qzeta.roots import RootFindingError, _aberth_fixed
+
+    with pytest.raises(RootFindingError, match="diverged") as err:
+        _aberth_fixed([10**400, 0, 1], [0j, 1 + 0j], 1e-12, 400, 136)
+    assert err.value.max_update == float("inf") and err.value.roots == [0j, 1 + 0j]
+
+
+@pytest.mark.parametrize("bits", [53, 136, 200])
+@given(
+    coeffs=st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=12),
+    xr=st.integers(-(1 << 210), 1 << 210),
+    xi=st.integers(-(1 << 210), 1 << 210),
+)
+def test_horner_value_is_the_value_half_of_horner_fixed(bits, coeffs, xr, xi):
+    from qzeta.roots import _horner_fixed, _horner_value
+
+    assert _horner_value(coeffs, xr, xi, bits) == _horner_fixed(coeffs, xr, xi, bits)[:2]
+
+
+def test_warm_start_sweeps_stop_at_the_stall(monkeypatch):
+    # one fill_diagonal per sweep; without the stall stop the float seed of
+    # the degree-126 rest of beta_21 runs to its 600-sweep cap
+    import numpy as np
+
+    from qzeta import roots
+    from qzeta.arith import clear_denominators
+    from qzeta.poly import divide_out_cyclotomic
+
+    coeffs, _ = clear_denominators(beta(21).value.num.coeffs)
+    stripped = Poly(coeffs[next(i for i, c in enumerate(coeffs) if c):])
+    rest, _ = divide_out_cyclotomic(stripped, dict.fromkeys(range(1, 23), float("inf")))
+    ints, _ = clear_denominators(rest.coeffs)
+    sweeps = 0
+    fill_diagonal = np.fill_diagonal
+
+    def counting(a, val):
+        nonlocal sweeps
+        sweeps += 1
+        return fill_diagonal(a, val)
+
+    monkeypatch.setattr(roots.np, "fill_diagonal", counting)
+    roots._warm_start(ints)
+    assert 20 <= sweeps <= 100
