@@ -27,9 +27,9 @@ from .operators import (
     _geometric,
     _is_identity,
 )
-from .poly import Poly, assemble_lanes, branch_var, divide_out_cyclotomic, split_lanes
+from .poly import Poly, add_lanes, branch_var, divide_out_cyclotomic
 from .quantum import quantum_value
-from .ratfunc import CycloFrac, RatFunc, add_lanes, raise_to_union
+from .ratfunc import CycloFrac, RatFunc, raise_to_union
 from .series import series_from_ratfunc
 
 _EXACT_BACKENDS = {"geometric": _geometric, "delta": _delta}
@@ -314,8 +314,8 @@ def beta_chi(chi: DirichletCharacter, n: int) -> BetaChi:
     if n < 0:
         raise ValueError("index must be >= 0")
     units, raised, den, _, union = _chi_basis(chi.modulus, n)
-    weights, d, m = split_lanes(Poly([_chi_scalar(chi, j) for j in units]))
-    num = assemble_lanes(add_lanes(raised, list(zip(*weights))), den * d, m, "q")
+    w = Poly([_chi_scalar(chi, j) for j in units])
+    num = Poly.from_lanes(add_lanes(raised, list(zip(*w.lanes))), den * w.den, w.m, "q")
     cf = CycloFrac(num, union).reduce()
     return BetaChi(chi, n, cf.to_ratfunc(), cf)
 

@@ -32,7 +32,7 @@ from math import pi
 
 from .arith import int_poly_add, primes_upto
 from .characters import DirichletCharacter
-from .poly import Poly, assemble_lanes, branch_var, split_lanes
+from .poly import Poly, branch_var
 from .quantum import quantum_value
 from .ratfunc import CycloFrac, RatFunc
 from .series import TruncSeries
@@ -214,9 +214,9 @@ def _delta_numerators(kernel, m: int, var: str):
     and 1/(q - 1) = 1/(v^b - 1) joins the denominator.  Being Q-linear, it runs
     on the c_a's lanes: (lanes, den, cond, var), a_j = sum_i zeta^i lanes[i][j]/den."""
     coeffs, M = kernel
-    values, den, cond = split_lanes(Poly([coeffs.get(j, 0) for j in range(max(coeffs) + 1)]))
+    values = Poly([coeffs.get(j, 0) for j in range(max(coeffs) + 1)])
     lanes = []
-    for lane in values:
+    for lane in values.lanes:
         nums = [[c] for c in lane]
         for k in range(m):
             out = [[] for _ in range(len(nums) + M)]
@@ -227,7 +227,7 @@ def _delta_numerators(kernel, m: int, var: str):
                 int_poly_add(out[j + M], a, j, -1)
             nums = out
         lanes.append(nums)
-    return lanes, den, cond, var
+    return lanes, values.den, values.m, var
 
 
 def _delta_at(nums, M: int, b: int, m: int, r: int) -> CycloFrac:
@@ -238,7 +238,7 @@ def _delta_at(nums, M: int, b: int, m: int, r: int) -> CycloFrac:
     for lane, total in zip(lanes, values):
         for j, a in enumerate(lane):
             int_poly_add(total, a, r * j, 1)
-    out = CycloFrac(assemble_lanes(values, den, cond, var)).div_pow_one_minus_var_pow(b, m)
+    out = CycloFrac(Poly.from_lanes(values, den, cond, var)).div_pow_one_minus_var_pow(b, m)
     for i in range(m + 1):
         out = out.div_one_minus((i + r) * M)
     return out

@@ -1,28 +1,27 @@
-"""Dense univariate polynomials over an exact coefficient field.
+"""Dense univariate polynomials over Q or a cyclotomic field Q(zeta_m).
 
-Coefficients are Python ints / Fractions (the rational field) or CycRat
-values (``fields.SCALARS``).  The constructor decides the coefficient field
-once and stores its conductor in ``m`` (1 for Q); every coefficient is then
-of that field, and the scalar types themselves answer zero (``not c``), one
-(``c == 1``) and inverse (``Fraction(1) / c``).  All polynomials arising
-here are dense in practice, so a plain coefficient list, lowest degree
-first, is the representation of choice.
-The variable tag names the branch (``branch_var``): a sum or product of
-non-constant values on two branches raises.  The hot exact paths run on
-integer lanes (``split_lanes``): products and scales with a rational
-factor, trial division by Phi_d, the Galois norm (``norm_lanes``),
-``CycloFrac.sum``, the Delta kernel of ``operators`` and
-``series_from_ratfunc``.
+A polynomial is stored as integer lanes over one denominator,
+p = sum_i zeta_m^i lanes[i] / den: one integer tuple per power of zeta_m
+(the power basis), lowest degree first, and one lane over Q (m = 1).  The
+form is canonical (``_normal``): den > 0 is coprime to the entries, no
+trailing column is all zero, and m = 1 exactly when only the first lane is
+nonzero, so equality is structural.  Sums, products, trial division by
+Phi_d and the Galois norm (``norm_lanes``) run on the lanes.  ``coeffs``
+is a read-only view in ``fields.SCALARS`` (ints over Q when den = 1,
+Fractions otherwise, CycRat over Q(zeta_m)) for the cold paths: division
+by a non-monic or Q(zeta_m) divisor, evaluation, printing, and monic
+Euclid over Q(zeta_m).  The variable tag names the branch
+(``branch_var``): a sum or product of non-constant values on two branches
+raises.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
-from .arith import (clear_denominators, cyclotomic_int_coeffs, cyclotomic_norm,
-                    euler_phi, int_poly_divmod_monic, int_poly_mul)
+from .arith import (clear_denominators, cyclotomic_int_coeffs, cyclotomic_norm, cyclotomic_reduce,
+                    euler_phi, int_poly_add, int_poly_divmod_monic, int_poly_mul)
 from .fields import SCALARS, CycRat, FieldMismatchError
 
 
@@ -35,20 +34,27 @@ class Poly:
     Poly('-1 + q^2')
     """
 
-    __slots__ = ("coeffs", "var", "m")
+    __slots__ = ("lanes", "den", "m", "var")
 
-    def __init__(self, coeffs, var: str = "q"):
+    def __init__(self, coeffs, var: str | None = None):
+        """From scalars, lowest degree first, or a Poly, relabelled if var is given."""
         if isinstance(coeffs, Poly):
-            coeffs, var = coeffs.coeffs, coeffs.var
-        cs, m = _unify_coeffs(list(coeffs))
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "m", m)
+            state = coeffs.lanes, coeffs.den, coeffs.m
+            var = coeffs.var if var is None else var
+        else:
+            state = _normal(*_coeff_lanes(list(coeffs)))
+        _init(self, *state, "q" if var is None else var)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_lanes(cls, lanes, den: int = 1, m: int = 1, var: str = "q") -> "Poly":
+        """sum_i zeta_m^i lanes[i] / den for phi(m) integer lanes (one over Q);
+        shorter lanes end in zeros."""
+        return _init(object.__new__(cls), *_normal(lanes, den, m), var)
 
     @classmethod
     def zero(cls, var: str = "q") -> "Poly":
@@ -73,27 +79,41 @@ class Poly:
     @property
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return len(self.lanes[0]) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 1
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def constant_term(self):
-        return self.coeffs[0] if self.coeffs else 0
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients, lowest degree first, as scalars (module docstring)."""
+        if self.m == 1 and self.den == 1:
+            return self.lanes[0]
+        return tuple(map(self.coeff, range(len(self.lanes[0]))))
 
     def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+        """The coefficient of var^k as a scalar; 0 beyond the degree."""
+        if not 0 <= k < len(self.lanes[0]):
+            return 0
+        if self.m == 1:
+            c = self.lanes[0][k]
+            return c if self.den == 1 else Fraction(c, self.den)
+        return CycRat(self.m, [Fraction(lane[k], self.den) for lane in self.lanes])
+
+    def is_zero(self) -> bool:
+        return not self.lanes[0]
+
+    def is_one(self) -> bool:
+        return self.lanes == ((1,),) and self.den == 1
+
+    def leading(self):
+        if self.is_zero():
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeff(self.degree)
+
+    def constant_term(self):
+        return self.coeff(0)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        lanes = self.lanes
+        return bool(lanes[0]) and lanes[0][-1] == self.den and not any(l[-1] for l in lanes[1:])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -101,13 +121,16 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = [a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
-        return Poly(out, common_var((self, other)))
+        var, m = common_var((self, other)), common_m((self, other))
+        den = lcm(self.den, other.den)
+        lanes = add_lanes((self.lanes, other.lanes), ([den // self.den], [den // other.den]))
+        return Poly.from_lanes(lanes, den, m, var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.var)
+        lanes = [[-c for c in lane] for lane in self.lanes]
+        return Poly.from_lanes(lanes, self.den, self.m, self.var)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -123,30 +146,22 @@ class Poly:
             if isinstance(other, SCALARS):
                 return self.scale(other)
             return NotImplemented
-        a, b, var = self.coeffs, other.coeffs, common_var((self, other))
-        if not a or not b:
+        var, m = common_var((self, other)), common_m((self, other))
+        a, b = self.lanes, other.lanes
+        if not a[0] or not b[0]:
             return Poly.zero(var)
-        if 1 in (self.m, other.m):  # multiply each lane
-            (la, da, ma), (lb, db, mb) = split_lanes(self), split_lanes(other)
-            lanes = [int_poly_mul(x, y) for x in la for y in lb]  # one side has one lane
-            return assemble_lanes(lanes, da * db, max(ma, mb), var)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = out[i + j] + x * y
-        return Poly(out, var)
+        if len(a) == 1 or len(b) == 1:  # multiply each lane
+            lanes = [int_poly_mul(x, y) for x in a for y in b]
+        else:  # one Kronecker product, zeta = x^L, reduced mod Phi_m
+            L = len(a[0]) + len(b[0]) - 1
+            prod = cyclotomic_reduce(int_poly_mul(_pack(a, L), _pack(b, L)), m, L)
+            lanes = [prod[i:i + L] for i in range(0, len(prod), L)]
+        return Poly.from_lanes(lanes, self.den * other.den, m, var)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        if not c:
-            return Poly.zero(self.var)
-        if self.m == 1 and not isinstance(c, CycRat):
-            return Poly([c * x for x in self.coeffs], self.var)
-        return self * Poly([c], self.var)  # lane by lane when one side is rational
+        return self * Poly([c], self.var)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -162,8 +177,14 @@ class Poly:
 
     def __divmod__(self, other: "Poly"):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if other.lanes[0][-1] == other.den == 1 and other.m == 1:  # monic over Z: lane by lane
+            split = [int_poly_divmod_monic(lane, other.lanes[0]) for lane in self.lanes]
+            return tuple(Poly.from_lanes([part[i] for part in split], self.den, self.m, self.var)
+                         for i in (0, 1))
         rem = list(self.coeffs)
         dn = other.degree
         den = other.coeffs
@@ -204,25 +225,20 @@ class Poly:
         """Scale so the leading coefficient is one; monic(0) = 0."""
         if self.is_zero() or self.is_monic():
             return self
-        inv = Fraction(1) / self.leading()
-        return Poly([c * inv for c in self.coeffs], self.var)
+        return self.scale(Fraction(1) / self.leading())
 
     def scale_exponents(self, k: int) -> "Poly":
         """Substitute var -> var^k for a positive integer k."""
         if k < 1:
             raise ValueError("exponent scale must be a positive integer")
-        if k == 1 or self.is_zero():
-            return self
-        out = [0] * (self.degree * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return Poly(out, self.var)
+        lanes = [[0] * (self.degree * k + 1) for _ in self.lanes]
+        for out, lane in zip(lanes, self.lanes):
+            out[::k] = lane
+        return Poly.from_lanes(lanes, self.den, self.m, self.var)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by var^k."""
-        if k == 0 or self.is_zero():
-            return self
-        return Poly([0] * k + list(self.coeffs), self.var)
+        return Poly.from_lanes([(0,) * k + lane for lane in self.lanes], self.den, self.m, self.var)
 
     def __call__(self, x):
         """Evaluate by Horner's rule; x may be any ring element, complex, or mpc."""
@@ -236,31 +252,25 @@ class Poly:
     # -- comparisons and rendering ------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            if len(self.coeffs) != len(other.coeffs):
-                return False
-            return all(a == b for a, b in zip(self.coeffs, other.coeffs))
         if isinstance(other, SCALARS):
-            if not other:
-                return self.is_zero()
-            return len(self.coeffs) == 1 and self.coeffs[0] == other
+            other = Poly([other])
+        if isinstance(other, Poly):
+            return (self.lanes, self.den, self.m) == (other.lanes, other.den, other.m)
         return NotImplemented
 
     def __hash__(self):
         # a constant compares equal to its scalar, so it hashes as one
-        if len(self.coeffs) <= 1:
+        if self.degree <= 0:
             return hash(self.constant_term())
-        return hash(self.coeffs)
+        return hash((self.lanes, self.den, self.m))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return not self.is_zero()
 
     def __repr__(self):
         return f"Poly('{self}')"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         return _render_terms(self.coeffs, self.var)
 
     def json_coeffs(self) -> list:
@@ -281,6 +291,78 @@ class Poly:
         return "rat" if self.m == 1 else ("cyc", self.m)
 
 
+def _init(p: Poly, *state) -> Poly:
+    """p with the canonical state (lanes, den, m, var)."""
+    for name, value in zip(Poly.__slots__, state):
+        object.__setattr__(p, name, value)
+    return p
+
+
+def _normal(lanes, den: int, m: int) -> tuple[tuple, int, int]:
+    """(lanes, den, m) in canonical form: a rational value keeps one lane,
+    trailing zero columns go, and den > 0 is coprime to the entries."""
+    if m > 1 and not any(map(any, lanes[1:])):
+        lanes, m = lanes[:1], 1
+    size = max(map(len, lanes), default=0)
+    while size and not any(size <= len(lane) and lane[size - 1] for lane in lanes):
+        size -= 1
+    if not size:
+        return ((),), 1, 1
+    g = abs(den)
+    for lane in lanes:
+        if g == 1:
+            break
+        g = int_gcd(g, *lane)
+    g = -g if den < 0 else g
+    if g == 1:
+        return tuple(tuple(lane[:size]) + (0,) * (size - len(lane)) for lane in lanes), den, m
+    return tuple(tuple(c // g for c in lane[:size]) + (0,) * (size - len(lane))
+                 for lane in lanes), den // g, m
+
+
+def _coeff_lanes(cs: list) -> tuple[list, int, int]:
+    """(lanes, den, m) of a list of scalars, unnormalised.
+
+    A type outside SCALARS raises TypeError, so a float zero is rejected
+    too.  The CycRat values that are not rational fix the field Q(zeta_m),
+    and two conductors raise FieldMismatchError.
+    """
+    if set(map(type, cs)) <= {int, Fraction}:
+        ints, den = clear_denominators(cs)
+        return [ints], den, 1
+    m = 1
+    for c in cs:
+        if not isinstance(c, SCALARS):
+            raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+        if isinstance(c, CycRat) and c.m != m and not c.is_rational():
+            if m != 1:
+                raise FieldMismatchError(f"mixed fields Q(zeta_{m}) and Q(zeta_{c.m})")
+            m = c.m
+    dim = euler_phi(m)
+    pad = (0,) * (dim - 1)
+    rows = [c.coords if isinstance(c, CycRat) and c.m == m
+            else (c.coords[0] if isinstance(c, CycRat) else c, *pad) for c in cs]
+    ints, den = clear_denominators([x for row in rows for x in row])
+    return [ints[i::dim] for i in range(dim)], den, m
+
+
+def _pack(lanes, L: int) -> list[int]:
+    """The lanes as one integer list with zeta = x^L (Kronecker substitution)."""
+    return [c for lane in lanes for c in (*lane, *[0] * (L - len(lane)))]
+
+
+def add_lanes(raised, weights) -> list[list[int]]:
+    """The lanes of sum_t weights[t] * raised[t], each given by its integer
+    lanes; for every t one of the two has one lane (over Q)."""
+    acc = []
+    for lanes, w in zip(raised, weights):
+        acc += [[] for _ in range(len(lanes) * len(w) - len(acc))]
+        for out, lane, c in zip(acc, lanes * len(w), w * len(lanes)):
+            if c:
+                int_poly_add(out, lane, 0, c)
+    return acc
+
+
 def branch_var(b: int) -> str:
     """The variable on branch b: q itself, or v = q^(1/b) for b > 1."""
     return "q" if b == 1 else "v"
@@ -292,6 +374,14 @@ def common_var(polys, var: str = "q") -> str:
     if len(found) > 1:
         raise FieldMismatchError(f"values on different branches {', '.join(sorted(found))}")
     return found.pop() if found else var
+
+
+def common_m(polys) -> int:
+    """The conductor of the polys' common field; two above 1 raise FieldMismatchError."""
+    found = {p.m for p in polys} - {1}
+    if len(found) > 1:
+        raise FieldMismatchError(f"mixed fields {', '.join(f'Q(zeta_{m})' for m in sorted(found))}")
+    return found.pop() if found else 1
 
 
 def _json_coeff(c):
@@ -322,60 +412,27 @@ def _render_terms(coeffs, var: str) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _unify_coeffs(cs: list) -> tuple[list, int]:
-    """The trimmed coefficient list, all in one field, and that field's
-    conductor m (1 for Q).
-
-    A type outside SCALARS raises TypeError before anything is trimmed, so
-    a float zero is rejected too.  The nonzero CycRat values of conductor
-    above 1 fix the field (zero lies in every field); the other values are
-    promoted into it.  Over Q, CycRat values become Fractions, so the
-    integer paths can read them.
-    """
-    m = 1
-    if not set(map(type, cs)) <= {int, Fraction}:
-        for c in cs:
-            if not isinstance(c, SCALARS):
-                raise TypeError(f"unsupported coefficient type {type(c).__name__}")
-            if isinstance(c, CycRat) and c.m != m and c.m != 1 and c:
-                if m != 1:
-                    raise FieldMismatchError(f"mixed fields Q(zeta_{m}) and Q(zeta_{c.m})")
-                m = c.m
-        cs = [_promote(c, m) for c in cs]
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs, m
-
-
-def _promote(c, m: int):
-    """c in Q(zeta_m): a Fraction over Q, a CycRat of conductor m otherwise."""
-    if m > 1 and isinstance(c, CycRat) and c.m == m:
-        return c
-    r = c.rational() if isinstance(c, CycRat) else Fraction(c)
-    return r if m == 1 else CycRat(m, r)
-
-
 # -- gcd -------------------------------------------------------------------
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) = 0.
 
-    Over Q the computation runs on primitive integer coefficient lists with
+    Over Q the computation runs on the primitive integer lanes with
     pseudo-remainders, stripping integer content at every step, which keeps
     coefficient growth flat where naive fraction-field Euclid explodes.
     Other coefficient fields fall back to monic Euclid.
     """
     if not isinstance(a, Poly) or not isinstance(b, Poly):
         raise TypeError("poly_gcd expects Poly arguments")
-    if a.m != b.m and 1 not in (a.m, b.m):
-        raise FieldMismatchError(f"mixed fields Q(zeta_{a.m}) and Q(zeta_{b.m})")
+    common_m((a, b))
     if a.is_zero():
         return b.monic()
     if b.is_zero():
         return a.monic()
     if a.m == b.m == 1:
-        return Poly(_gcd_rational(a.coeffs, b.coeffs), a.var)
+        g = _gcd_rational(a.lanes[0], b.lanes[0])
+        return Poly.from_lanes([g], g[-1], 1, a.var)
     # monic Euclid over the field
     f, g = a, b
     while not g.is_zero():
@@ -385,47 +442,23 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return f.monic()
 
 
-def _int_content(cs: list[int]) -> int:
-    c = 0
-    for x in cs:
-        c = int_gcd(c, x)
-        if c == 1:
-            return 1
-    return c or 1
-
-
-def _to_primitive_int(coeffs) -> list[int]:
-    ints, _ = clear_denominators(coeffs)
-    content = _int_content(ints)
-    return [c // content for c in ints]
-
-
-def _gcd_rational(a, b):
-    fa, fb = _to_primitive_int(a), _to_primitive_int(b)
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
+def _gcd_rational(a, b) -> list[int]:
+    """A primitive integer gcd of two nonzero integer coefficient lists."""
+    fa, fb = sorted((list(a), list(b)), key=len, reverse=True)
     while fb:
+        content = int_gcd(*fb)
+        fb = [c // content for c in fb]
         # pseudo-remainder: lc(fb)^(deg gap + 1) * fa mod fb
-        rem = list(fa)
-        lead = fb[-1]
-        dn = len(fb) - 1
-        while len(rem) - 1 >= dn and rem:
-            c = rem[-1]
-            k = len(rem) - 1 - dn
+        rem, lead, dn = fa, fb[-1], len(fb) - 1
+        while len(rem) > dn:
+            c, k = rem[-1], len(rem) - 1 - dn
             rem = [x * lead for x in rem]
             for j, d in enumerate(fb):
                 rem[k + j] -= c * d
             while rem and rem[-1] == 0:
                 rem.pop()
-        content = _int_content(rem)
-        fa, fb = fb, [c // content for c in rem]
-    lead = fa[-1]
-    if lead < 0:
-        fa = [-c for c in fa]
-        lead = -lead
-    if lead == 1:
-        return fa
-    return [Fraction(c, lead) for c in fa]
+        fa, fb = fb, rem
+    return fa
 
 
 # -- cyclotomic polynomials --------------------------------------------------
@@ -439,7 +472,7 @@ def cyclotomic(n: int, var: str = "q") -> Poly:
     """
     if n < 1:
         raise ValueError("cyclotomic index must be a positive integer")
-    return Poly(cyclotomic_int_coeffs(n), var)
+    return Poly.from_lanes([cyclotomic_int_coeffs(n)], 1, 1, var)
 
 
 def divide_out_cyclotomic(p: Poly, limits) -> tuple[Poly, list[tuple[int, int]]]:
@@ -450,7 +483,7 @@ def divide_out_cyclotomic(p: Poly, limits) -> tuple[Poly, list[tuple[int, int]]]
     is monic over Z and the powers of zeta are a basis of Q(zeta_m)(q) over
     Q(q), so Phi_d divides p exactly when it divides every integer lane.
     """
-    lanes, den, m = split_lanes(p)
+    lanes = p.lanes
     factors = []
     for d in sorted(limits):
         phi_d = cyclotomic_int_coeffs(d)
@@ -463,7 +496,7 @@ def divide_out_cyclotomic(p: Poly, limits) -> tuple[Poly, list[tuple[int, int]]]
             mult += 1
         if mult:
             factors.append((d, mult))
-    return (assemble_lanes(lanes, den, m, p.var) if factors else p), factors
+    return (Poly.from_lanes(lanes, p.den, p.m, p.var) if factors else p), factors
 
 
 def cyclotomic_coprime(p: Poly, indices) -> bool:
@@ -474,37 +507,19 @@ def cyclotomic_coprime(p: Poly, indices) -> bool:
     The norm is taken of p's residue mod Phi_d, lane by lane: Phi_d is
     rational, so each sigma_k commutes with the reduction and the two
     norms agree mod Phi_d."""
-    lanes, _, m = split_lanes(p)
     for d in indices:
         phi_d = cyclotomic_int_coeffs(d)
-        residue = [int_poly_divmod_monic(lane, phi_d)[1] for lane in lanes]
-        if not any(int_poly_divmod_monic(norm_lanes(residue, m)[1], phi_d)[1]):
+        residue = [int_poly_divmod_monic(lane, phi_d)[1] for lane in p.lanes]
+        if not any(int_poly_divmod_monic(norm_lanes(residue, p.m)[1], phi_d)[1]):
             return False
     return True
 
 
 def norm_lanes(lanes, m: int) -> tuple[list[list[int]], list[int]]:
-    """(conj, norm) for the integer lanes of p over Q(zeta_m) (``split_lanes``),
+    """(conj, norm) for the integer lanes of p over Q(zeta_m) (``Poly.lanes``),
     with p * sum_i zeta^i conj[i] = norm / den: conj is the product of the
     conjugates sigma_k (k != 1) of the lanes (``arith.cyclotomic_norm``);
     over Q, conj = [[1]]."""
     L = len(lanes) * (max(map(len, lanes)) - 1) + 1  # past the norm's degree in q
-    ints = [c for lane in lanes for c in lane + [0] * (L - len(lane))]  # zeta = x^L
-    conj, norm = cyclotomic_norm(ints, m, L)
+    conj, norm = cyclotomic_norm(_pack(lanes, L), m, L)
     return [conj[i * L:(i + 1) * L] for i in range(len(lanes))], norm[:L]
-
-
-def split_lanes(p: Poly) -> tuple[list[list[int]], int, int]:
-    """(lanes, den, m) with p = sum_i zeta_m^i lanes[i] / den, one integer
-    coefficient list per power of zeta; over Q, m = 1 with one lane."""
-    m, dim = p.m, euler_phi(p.m)
-    ints, den = clear_denominators(p.coeffs if m == 1 else [x for c in p.coeffs for x in c.coords])
-    return ([ints] if dim == 1 else [ints[i::dim] for i in range(dim)]), den, m
-
-
-def assemble_lanes(lanes, den: int, m: int, var: str) -> Poly:
-    """The polynomial of split_lanes' triple; shorter lanes end in zeros."""
-    if m == 1:
-        return Poly(lanes[0] if den == 1 else [Fraction(c, den) for c in lanes[0]], var)
-    cols = zip_longest(*lanes, fillvalue=0)
-    return Poly([CycRat(m, [Fraction(c, den) for c in col]) for col in cols], var)

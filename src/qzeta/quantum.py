@@ -88,22 +88,9 @@ def frobenius(f, n):
 
 
 def _scale_poly_exponents(p: Poly, n: Fraction) -> Poly:
-    if n.denominator == 1:
-        return p.scale_exponents(n.numerator)
-    if p.is_zero():
-        return p
-    out = {}
-    for i, c in enumerate(p.coeffs):
-        if c == 0 or not c:
-            continue
-        e = n * i
-        if e.denominator != 1:
-            raise ValueError(
-                f"exponent {i} * {n} leaves the current branch; rebase first"
-            )
-        out[int(e)] = c
-    top = max(out)
-    coeffs = [0] * (top + 1)
-    for e, c in out.items():
-        coeffs[e] = c
-    return Poly(coeffs, p.var)
+    d = n.denominator
+    bad = [i for i in range(p.degree + 1) if i % d and any(lane[i] for lane in p.lanes)]
+    if bad:
+        raise ValueError(f"exponent {bad[0]} * {n} leaves the current branch; rebase first")
+    lanes = [lane[::d] for lane in p.lanes]
+    return Poly.from_lanes(lanes, p.den, p.m, p.var).scale_exponents(n.numerator)

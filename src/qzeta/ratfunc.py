@@ -12,10 +12,10 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from .arith import cyclotomic_int_coeffs, divisors, int_poly_add, int_poly_mul, phi_factor_indices
-from .fields import SCALARS, FieldMismatchError
-from .poly import (Poly, assemble_lanes, common_var, cyclotomic_coprime, divide_out_cyclotomic,
-                   poly_gcd, split_lanes)
+from .arith import cyclotomic_int_coeffs, divisors, int_poly_mul, phi_factor_indices
+from .fields import SCALARS
+from .poly import (Poly, add_lanes, common_m, common_var, cyclotomic_coprime, divide_out_cyclotomic,
+                   poly_gcd)
 
 
 class PoleError(ZeroDivisionError):
@@ -285,7 +285,7 @@ class CycloFrac:
         for d, m in self.phi.items():
             for e in phi_factor_indices(d, k):
                 phi[e] += m
-        return CycloFrac(Poly(self.num.scale_exponents(k).coeffs, var), phi)
+        return CycloFrac(Poly(self.num.scale_exponents(k), var), phi)
 
     @staticmethod
     def sum(terms, var: str = "q") -> "CycloFrac":
@@ -295,7 +295,7 @@ class CycloFrac:
         if len(terms) <= 1:
             return CycloFrac(terms[0].num, terms[0].phi) if terms else CycloFrac.zero(var)
         raised, den, m, union = raise_to_union(terms)
-        return CycloFrac(assemble_lanes(add_lanes(raised, [[1]] * len(terms)), den, m, var), union)
+        return CycloFrac(Poly.from_lanes(add_lanes(raised, [[1]] * len(terms)), den, m, var), union)
 
     def __add__(self, other: "CycloFrac") -> "CycloFrac":
         if not isinstance(other, CycloFrac):
@@ -324,7 +324,7 @@ class CycloFrac:
         """
         if not self.reduced:
             return self.reduce().to_ratfunc()
-        den = Poly(_phi_product(self.phi), self.num.var)
+        den = Poly.from_lanes([_phi_product(self.phi)], 1, 1, self.num.var)
         canonical = self.num.m == 1 or cyclotomic_coprime(self.num, self.phi)
         return RatFunc(self.num, den, _canonical=canonical)
 
@@ -336,32 +336,17 @@ def raise_to_union(terms) -> tuple:
     """(raised, den, m, union) for nonzero terms over Q or one Q(zeta_m): the
     union of their Phi multisets, and a generator of each term's integer lanes
     (one over Q) times the factors it lacks, over the common denominator den."""
-    m = max(t.num.m for t in terms)
-    if any(t.num.m not in (1, m) for t in terms):
-        raise FieldMismatchError(f"terms over Q(zeta_{m}) and another cyclotomic field")
+    m = common_m(t.num for t in terms)
     union = Counter()
     for t in terms:
         union |= t.phi
-    split = [split_lanes(t.num) for t in terms]
-    den = lcm(*(d for _, d, _ in split))
+    den = lcm(*(t.num.den for t in terms))
 
     def raised():
-        for t, (lanes, d, _) in zip(terms, split):
-            f = [c * (den // d) for c in _phi_product(union - t.phi)]
-            yield [int_poly_mul(lane, f) for lane in lanes]
+        for t in terms:
+            f = [c * (den // t.num.den) for c in _phi_product(union - t.phi)]
+            yield [int_poly_mul(lane, f) for lane in t.num.lanes]
     return raised(), den, m, union
-
-
-def add_lanes(raised, weights) -> list[list[int]]:
-    """The lanes of sum_t weights[t] * raised[t], each given by its integer
-    lanes; for every t one of the two has one lane (over Q)."""
-    acc = []
-    for lanes, w in zip(raised, weights):
-        acc += [[] for _ in range(len(lanes) * len(w) - len(acc))]
-        for out, lane, c in zip(acc, lanes * len(w), w * len(lanes)):
-            if c:
-                int_poly_add(out, lane, 0, c)
-    return acc
 
 
 def _phi_product(phi: Counter) -> list[int]:

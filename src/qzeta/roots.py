@@ -20,8 +20,7 @@ from math import gcd, inf, isqrt, ldexp, log10, pi
 
 import numpy as np
 
-from .arith import clear_denominators
-from .poly import Poly, divide_out_cyclotomic, split_lanes
+from .poly import Poly, divide_out_cyclotomic
 from .ratfunc import RatFunc
 
 
@@ -85,7 +84,7 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 400) -> list[complex
     bits = _working_bits(tol)
     if p.degree < 1:
         return []
-    coeffs, _ = clear_denominators(p.coeffs)
+    coeffs = list(p.lanes[0])  # p times its denominator: the same roots
     nzeros = 0
     while coeffs[0] == 0:
         coeffs.pop(0)
@@ -346,7 +345,7 @@ def beta_root_survey(
     reports = []
     for n in range(2, n_max + 1):
         value: RatFunc = (beta_chi(chi, n) if chi is not None else beta(n)).value
-        coeffs = split_lanes(value.num)[0][0]  # real characters: one rational lane
+        coeffs = list(value.num.lanes[0])  # real characters: one rational lane
         while coeffs and coeffs[0] == 0:
             coeffs.pop(0)
         stripped = Poly(coeffs)

@@ -13,8 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .fields import SCALARS
-from .poly import (Poly, _json_coeff, _render_terms, assemble_lanes, branch_var, norm_lanes,
-                   split_lanes)
+from .poly import Poly, _json_coeff, _render_terms, branch_var, norm_lanes
 from .ratfunc import RatFunc
 
 
@@ -187,9 +186,8 @@ def series_from_ratfunc(f: RatFunc, order: int, branch: int = 1) -> TruncSeries:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    den_lanes, d, m = split_lanes(f.den)
-    conj, D = norm_lanes(den_lanes, m)  # f.den * conj = D / d
-    lanes, dn, m = split_lanes(f.num * assemble_lanes(conj, 1, f.den.m, f.num.var))
+    conj, D = norm_lanes(f.den.lanes, f.den.m)  # f.den * conj = D / f.den.den
+    num = f.num * Poly.from_lanes(conj, 1, f.den.m, f.num.var)
     g = gcd(*D)
     D = [c // g for c in D]
     if not D[0]:
@@ -197,11 +195,11 @@ def series_from_ratfunc(f: RatFunc, order: int, branch: int = 1) -> TruncSeries:
     pw = [D[0] ** k for k in range(order + 2)]
     taps = [(i, c * pw[i - 1]) for i, c in enumerate(D[1:order + 1], 1) if c]
     out = []
-    for lane in lanes:
+    for lane in num.lanes:
         y = []
         for k in range(order + 1):
             nk = pw[k] * lane[k] if k < len(lane) else 0
             y.append(nk - sum(t * y[k - i] for i, t in taps if i <= k))
-        out.append([c * d * pw[order - k] for k, c in enumerate(y)])
-    return TruncSeries.from_poly(assemble_lanes(out, g * dn * pw[order + 1], m, f.num.var),
-                                 order, branch)
+        out.append([c * f.den.den * pw[order - k] for k, c in enumerate(y)])
+    value = Poly.from_lanes(out, g * num.den * pw[order + 1], num.m, f.num.var)
+    return TruncSeries.from_poly(value, order, branch)

@@ -1,5 +1,7 @@
 """Bernoulli-Carlitz fractions and the verification pipelines."""
 import hashlib
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
@@ -333,6 +335,35 @@ def test_complex_characters_add_no_cycrat_values(monkeypatch, cold_carlitz):
             for backend in ("geometric", "delta"):
                 assert verify_chi(chi, n, backend).passed
     assert calls == []
+
+
+# the complex characters of the relations benchmark, with their n
+COMPLEX_CHARACTERS = {(5, 1): 3, (5, 3): 3, (7, 1): 2, (7, 2): 2, (7, 4): 2, (7, 5): 2}
+
+
+def test_complex_characters_build_cycrat_values_only_as_character_values(monkeypatch,
+                                                                          cold_carlitz):
+    # polynomials over Q(zeta_m) are integer lanes: with the table and the
+    # characters built first, both exact backends and beta_chi build no
+    # CycRat but the character values themselves (chi(n) = 0 included)
+    beta(18)
+    chars = {key: character(*key) for key in COMPLEX_CHARACTERS}
+    origins = Counter()
+    init = CycRat.__init__
+
+    def recording(self, *args):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == "qzeta.fields":  # CycRat.zero, the arithmetic
+            frame = frame.f_back
+        origins[frame.f_globals["__name__"]] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(CycRat, "__init__", recording)
+    for key, top in COMPLEX_CHARACTERS.items():
+        for n in range(1, top + 1):
+            for backend in ("geometric", "delta"):
+                assert verify_chi(chars[key], n, backend).passed
+    assert set(origins) <= {"qzeta.characters"}, origins
 
 
 def exact_relations():

@@ -1,5 +1,6 @@
 """Dense polynomials, gcd, and cyclotomic polynomials."""
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -8,14 +9,7 @@ from hypothesis import strategies as st
 from conftest import polys, small_fractions
 from qzeta.arith import divisors, euler_phi, factorize
 from qzeta.fields import CycRat, FieldMismatchError
-from qzeta.poly import (
-    Poly,
-    assemble_lanes,
-    cyclotomic,
-    divide_out_cyclotomic,
-    poly_gcd,
-    split_lanes,
-)
+from qzeta.poly import Poly, cyclotomic, divide_out_cyclotomic, poly_gcd
 
 
 def test_construction_trims_and_rejects_floats():
@@ -25,6 +19,19 @@ def test_construction_trims_and_rejects_floats():
     for bad in ([0.5], [1, 0.0], [0.0], [1j], ["a"]):
         with pytest.raises(TypeError):
             Poly(bad)
+
+
+def test_divmod_refuses_what_is_not_a_polynomial():
+    p = Poly([0, 1])
+    for op in (lambda: divmod(p, "x"), lambda: p // 1.5, lambda: p % None):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_poly_of_a_poly_keeps_or_relabels_its_variable():
+    v = Poly([0, 1], "v")
+    assert Poly(v).var == "v"
+    assert Poly(v, "q").var == "q" and Poly(v, "q") == v
 
 
 def test_gcd_common_factor_by_inspection():
@@ -141,9 +148,10 @@ def test_constants_hash_as_their_scalar():
 
 
 def test_conductor_one_cycrat_coefficients_are_rational():
-    # CycRat values of conductor 1 become Fractions, so the integer gcd reads them
+    # CycRat values of conductor 1 read back as rationals: ints over the
+    # denominator 1, Fractions otherwise, and the integer gcd reads them
     p = Poly([CycRat(1, 2), CycRat(1, 1)])
-    assert p.coeffs == (2, 1) and all(isinstance(c, Fraction) for c in p.coeffs)
+    assert p.coeffs == (2, 1) and all(type(c) is int for c in p.coeffs)
     assert poly_gcd(p, Poly([2, 1])) == Poly([2, 1])
     assert Poly([CycRat(1, 1), CycRat(4, [0, 1])]).field_key() == ("cyc", 4)
     p = Poly([CycRat(1, Fraction(1, 2)), 3, CycRat(1, 0)])
@@ -248,8 +256,48 @@ def test_lane_products_match_the_convolution(case, r):
 
 
 def test_lanes_round_trip():
+    # the coefficient view gives back the polynomial it was read from
     i = CycRat.zeta_power(4, 1)
     for p in (Poly([Fraction(1, 2), 0, 3]), Poly([i, Fraction(2, 3), i * i + 5]), Poly([])):
-        lanes, den, m = split_lanes(p)
-        assert assemble_lanes(lanes, den, m, p.var) == p
-    assert split_lanes(Poly([i, Fraction(1, 2)])) == ([[0, 1], [2, 0]], 2, 4)
+        assert Poly(p.coeffs, p.var) == p
+    p = Poly([i, Fraction(1, 2)])
+    assert (p.lanes, p.den, p.m) == (((0, 1), (2, 0)), 2, 4)
+
+
+def _convolve(a, b, m):
+    """Schoolbook product of two CycRat coefficient lists over Q(zeta_m)."""
+    out = [CycRat(m)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _conjugate(c, k):
+    """sigma_k(c): zeta -> zeta^k."""
+    vec = [0] * c.m
+    for i, x in enumerate(c.coords):
+        vec[i * k % c.m] += x
+    return CycRat(c.m, vec)
+
+
+@given(st.data(), st.sampled_from([3, 4, 5, 8, 12]))
+def test_cyclotomic_products_match_the_coefficient_convolution(data, m):
+    # both sides over Q(zeta_m): one Kronecker product reduced mod Phi_m;
+    # times the product of a's other conjugates it is a's norm, rational
+    coords = st.lists(small_fractions, min_size=euler_phi(m), max_size=euler_phi(m))
+    a = data.draw(st.lists(coords.map(lambda c: CycRat(m, c)), max_size=4))
+    b = data.draw(st.lists(coords.map(lambda c: CycRat(m, c)), max_size=4))
+    if data.draw(st.booleans()):
+        b = [CycRat(m, 1)]
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                b = _convolve(b, [_conjugate(c, k) for c in a], m)
+    want = _convolve(a, b, m)
+    got = Poly(a) * Poly(b)
+    assert got == Poly(want) and got.coeffs == Poly(want).coeffs
+    assert [got.coeff(k) for k in range(len(want))] == want
+    if all(c.is_rational() for c in want):
+        assert got.m == 1 and got.field_key() == "rat" == _field_from_coeffs(got)
+    else:
+        assert got.field_key() == ("cyc", m) == _field_from_coeffs(got)

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from conftest import ratfuncs, small_fractions
 from qzeta.arith import cyclotomic_int_coeffs, euler_phi, int_poly_divmod_monic
 from qzeta.fields import CycRat, FieldMismatchError
-from qzeta.poly import (Poly, assemble_lanes, cyclotomic, cyclotomic_coprime, norm_lanes, poly_gcd,
-                        split_lanes)
+from qzeta.poly import Poly, add_lanes, cyclotomic, cyclotomic_coprime, norm_lanes, poly_gcd
 from qzeta.quantum import frobenius
-from qzeta.ratfunc import CycloFrac, PoleError, RatFunc, add_lanes, raise_to_union
+from qzeta.ratfunc import CycloFrac, PoleError, RatFunc, raise_to_union
 
 
 def test_normalize_cancellation():
@@ -220,8 +219,8 @@ def test_weighted_lanes_match_poly_arithmetic(data):
     terms = [CycloFrac(Poly(data.draw(nums)), data.draw(phis)) for _ in range(count)]
     weights = [CycRat(m, data.draw(coords)) for _ in terms]
     raised, den, _, union = raise_to_union(terms)
-    lanes, d, k = split_lanes(Poly(weights))
-    got = assemble_lanes(add_lanes(raised, list(zip(*lanes))), den * d, k, "q")
+    w = Poly(weights)
+    got = Poly.from_lanes(add_lanes(raised, list(zip(*w.lanes))), den * w.den, w.m, "q")
     assert (got, union) == reference_sum([t.times_scalar(w) for t, w in zip(terms, weights)])
 
 
@@ -263,8 +262,7 @@ def test_cyclofrac_scale_exponents_is_frobenius(k):
 
 def full_norm_coprime(p, indices):
     """The norm certificate on the norm of p itself, not of its residues."""
-    lanes, _, m = split_lanes(p)
-    norm = norm_lanes(lanes, m)[1]
+    norm = norm_lanes(p.lanes, p.m)[1]
     return all(any(int_poly_divmod_monic(norm, cyclotomic_int_coeffs(d))[1]) for d in indices)
 
 

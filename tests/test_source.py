@@ -1,7 +1,8 @@
 """Source-level rules for the package: its invariant checks survive
 ``python -O`` (they raise exceptions instead of using ``assert``, which -O
 strips), it does not import mpmath, which only the tests use as an
-oracle, and it names the coefficient types in one place."""
+oracle, it names the coefficient types in one place, and it builds CycRat
+values only as scalars."""
 import ast
 from pathlib import Path
 
@@ -49,3 +50,25 @@ def test_scalar_types_are_named_once(path):
         and {"int", "Fraction", "CycRat"} <= {getattr(e, "id", None) for e in node.elts}
     ]
     assert not found, f"{path.name}: (int, Fraction, CycRat) spelled out on lines {found}"
+
+
+CYCRAT_BUILDERS = {"CycRat", "CycRat.zero", "CycRat.one", "CycRat.zeta_power"}
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py"))
+                                        - {PACKAGE / "fields.py", PACKAGE / "characters.py"}),
+                         ids=lambda p: p.name)
+def test_cycrat_values_are_built_only_as_scalars(path):
+    # a polynomial over Q(zeta_m) is integer lanes (poly.Poly.lanes); a CycRat
+    # is built in fields, as a character value, and in poly's coefficient view
+    tree = ast.parse(path.read_text(), filename=str(path))
+    view = [node for node in ast.walk(tree) if path.name == "poly.py"
+            and isinstance(node, ast.FunctionDef) and node.name == "coeff"]
+    allowed = {id(node) for fn in view for node in ast.walk(fn)}
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in CYCRAT_BUILDERS
+        and id(node) not in allowed
+    ]
+    assert not found, f"{path.name}: CycRat built on lines {found}"
