@@ -161,7 +161,13 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        return self * Poly([c], self.var)
+        """c * self; a rational c multiplies the lanes by its numerator."""
+        c = Poly([c], self.var)
+        if c.m > 1:
+            return self * c
+        k = c.lanes[0][0] if c else 0
+        lanes = [[k * x for x in lane] for lane in self.lanes]
+        return Poly.from_lanes(lanes, self.den * c.den, self.m, self.var)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:

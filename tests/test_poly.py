@@ -244,8 +244,8 @@ def test_lane_trial_division_matches_divmod(case):
     assert divide_out_cyclotomic(p, limits) == _divmod_route(p, limits)
 
 
-@given(planted_products(), polys())
-def test_lane_products_match_the_convolution(case, r):
+@given(planted_products(), polys(), small_fractions)
+def test_lane_products_match_the_convolution(case, r, c):
     # a rational factor multiplies each lane of a Q(zeta_m) polynomial
     p, _ = case
     out = [0] * max(len(p.coeffs) + len(r.coeffs) - 1, 0)
@@ -253,6 +253,7 @@ def test_lane_products_match_the_convolution(case, r):
         for j, y in enumerate(r.coeffs):
             out[i + j] = out[i + j] + x * y
     assert p * r == Poly(out) and r * p == Poly(out)
+    assert p.scale(c) == Poly([x * c for x in p.coeffs]) == c * p
 
 
 def test_lanes_round_trip():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qzeta.fields import CycRat
 from qzeta.operators import OperatorSpec, _delta_at, _delta_numerators, apply_delta
 from qzeta.poly import Poly
 from qzeta.quantum import frobenius, quantum_int, quantum_value
@@ -62,11 +63,15 @@ def test_frobenius_examples():
     f = RatFunc(Poly([1]), Poly([1, -1]))
     assert frobenius(f, 3) == RatFunc(Poly([1]), Poly([1, 0, 0, -1]))
     assert frobenius(Poly([0, 0, 1]), Fraction(3, 2)) == Poly([0, 0, 0, 1])
+    i = CycRat.zeta_power(4, 1)
+    assert frobenius(Poly([0, 0, i, 0, 3], "v"), Fraction(3, 2)) == Poly([0, 0, 0, i, 0, 0, 3], "v")
 
 
 def test_frobenius_rejects_leaving_branch():
     with pytest.raises(ValueError):
         frobenius(Poly([0, 1]), Fraction(1, 2))  # q^(1/2) not on branch 1
+    with pytest.raises(ValueError, match="exponent 1 "):  # only the zeta lane leaves it
+        frobenius(Poly([2, CycRat.zeta_power(4, 1)]), Fraction(1, 2))
 
 
 @given(
