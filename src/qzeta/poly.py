@@ -112,8 +112,8 @@ class Poly:
         return self.coeff(0)
 
     def is_monic(self) -> bool:
-        lanes = self.lanes
-        return bool(lanes[0]) and lanes[0][-1] == self.den and not any(l[-1] for l in lanes[1:])
+        first, *rest = self.lanes
+        return bool(first) and first[-1] == self.den and not any(lane[-1] for lane in rest)
 
     # -- arithmetic --------------------------------------------------------
 
