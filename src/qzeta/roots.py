@@ -3,13 +3,14 @@ numerators.
 
 The solver is a simultaneous Aberth-Ehrlich iteration whose iterates and
 polynomial values are held in fixed-point integers of well beyond 80
-bits, warm-started from a double-precision sweep of the same iteration.
-The warm start stops once its largest correction has stalled, since the
-fixed-point stage decides convergence.  Exact preprocessing strips the
-monomial root at 0 and known cyclotomic content before anything
-floating-point happens, so exactly-known unit-circle roots never burden
-the solve.  Survey residuals come from the same fixed-point Horner
-evaluation.  Everything is deterministic given (polynomial, tol).
+bits, warm-started from double-precision sweeps of the same iteration on
+one table of powers, which stop once the largest correction has stalled,
+since the fixed-point stage decides convergence.  Exact preprocessing
+strips the monomial root at 0 and known cyclotomic content before
+anything floating-point happens, so exactly-known unit-circle roots never
+burden the solve.  Survey residuals come from the same fixed-point Horner
+evaluation, three integer products a complex step.  Everything is
+deterministic given (polynomial, tol); no sum goes through BLAS.
 """
 from __future__ import annotations
 
@@ -85,18 +86,15 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 400) -> list[complex
     if p.degree < 1:
         return []
     coeffs = list(p.lanes[0])  # p times its denominator: the same roots
-    nzeros = 0
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-        nzeros += 1
-    roots: list[complex] = [0j] * nzeros
+    nzeros = next(i for i, c in enumerate(coeffs) if c)
+    coeffs, roots = coeffs[nzeros:], [0j] * nzeros
     deg = len(coeffs) - 1
     if deg == 0:
         return roots
     if deg == 1:
         roots.append(complex(Fraction(-coeffs[0], coeffs[1])))
         return roots
-    start = _warm_start(coeffs)
+    start, _ = _warm_start(coeffs)
     roots.extend(_aberth_fixed(coeffs, start, tol, max_iter, bits))
     return roots
 
@@ -115,43 +113,39 @@ _GOLDEN = 0.6180339887498949
 _STALL_SWEEPS = 20  # warm-start sweeps without a new smallest correction
 
 
-def _circle_starts(deg: int, r0: float) -> np.ndarray:
-    ks = np.arange(deg)
-    angles = 2 * np.pi * (ks + 0.35) / deg
-    wobble = 1.0 + 0.02 * (((ks * 37) % 11) - 5) / 11.0
-    return r0 * wobble * np.exp(1j * angles)
-
-
-def _warm_start(coeffs: list[int]) -> list[complex]:
-    """Double-precision Aberth sweep from perturbed-circle starts.
-
-    Diverging iterates are reset deterministically.  The sweep stops when
-    the largest correction, relative to max(1, |z|), falls below 1e-13, or
-    when it has set no new minimum for _STALL_SWEEPS sweeps: doubles near a
-    cluster of roots stop improving long before that bound, and the result
-    only seeds the extended-precision stage, which owns convergence.
-    """
+def _warm_start(coeffs: list[int]) -> tuple[list[complex], int]:
+    """Double-precision Aberth sweeps from perturbed-circle starts: the
+    seeds and the number of sweeps.  A sweep takes p and p' at every iterate
+    from one table of powers z^k, built by doubling and contracted with the
+    coefficients by einsum, which adds in order of k (BLAS, in its kernel's
+    order).  Diverging iterates are reset deterministically.  The sweeps
+    stop when the largest correction, relative to max(1, |z|), falls below
+    1e-13, or when it has set no new minimum for _STALL_SWEEPS sweeps:
+    doubles near a cluster of roots stop improving long before that bound,
+    and the seeds only start the extended-precision stage, which owns it."""
     deg = len(coeffs) - 1
     scale = max(abs(c) for c in coeffs)
-    cs_desc = np.array([c / scale for c in reversed(coeffs)], dtype=np.float64)
-    a0 = abs(coeffs[0] / scale)
-    r0 = a0 ** (1.0 / deg) if a0 > 0 else 1.0
-    z = _circle_starts(deg, r0)
-    # np.polyval's steps for p and p' (a leading 0 keeps the rows in step)
-    cols = list(np.stack([cs_desc, np.append(0.0, np.polyder(cs_desc))], axis=1)[:, :, None])
-    resets = 0
-    best, stalled = inf, 0
+    cs = np.array([c / scale for c in coeffs])
+    r0 = abs(cs[0]) ** (1.0 / deg) or 1.0  # 1 when p(0) = 0
+    ks = np.arange(deg)
+    wobble = 1.0 + 0.02 * (((ks * 37) % 11) - 5) / 11.0
+    z = r0 * wobble * np.exp(1j * (2 * np.pi * (ks + 0.35) / deg))
+    cols = np.array([cs, np.append(cs[1:] * np.arange(1, deg + 1), 0.0)])
+    zk = np.ones((deg + 1, deg), complex)  # row k holds z^k
+    zf = zk.view(float)  # cols are real: contract re and im parts alike
+    diffs = np.empty((deg, deg), complex)  # z_i - z_j, then its reciprocal
+    doublings = [1 << e for e in range((deg - 1).bit_length())]
+    resets, best, stalled = 0, inf, 0
     with np.errstate(all="ignore"):
-        for _ in range(600):
-            y = np.zeros((2, deg), complex)
-            for col in cols:
-                np.multiply(y, z, out=y)
-                y += col
-            pz, dz = y
+        for sweeps in range(1, 601):
+            zk[1] = z
+            for k in doublings:  # z^(k+1..2k) = z^(1..k) z^k
+                np.multiply(zk[1 : min(k, deg - k) + 1], zk[k], out=zk[k + 1 : 2 * k + 1])
+            pz, dz = np.einsum("ck,kj->cj", cols, zf).view(complex)  # p and p'
             w = pz / np.where(np.abs(dz) < 1e-300, 1.0, dz)
-            diffs = z[:, None] - z[None, :]
-            np.fill_diagonal(diffs, np.inf)
-            S = (1.0 / diffs).sum(axis=1)
+            np.subtract.outer(z, z, out=diffs)
+            diffs.flat[:: deg + 1] = inf  # drops j = i from the Aberth sum
+            S = np.divide(1.0, diffs, out=diffs).sum(axis=1)
             corr = w / (1.0 - w * S)
             corr = np.where(np.isfinite(corr), corr, w)
             corr = np.where(np.isfinite(corr), corr, 0.0)
@@ -162,7 +156,7 @@ def _warm_start(coeffs: list[int]) -> list[complex]:
                     resets += 1
                     z[i] = 1.5 * r0 * np.exp(2j * np.pi * _GOLDEN * resets)
                 continue
-            update = np.max(np.abs(corr)) / max(1.0, np.max(np.abs(z)))
+            update = np.abs(corr).max() / max(1.0, np.abs(z).max())
             if update < 1e-13:
                 break
             if update < best:
@@ -172,7 +166,7 @@ def _warm_start(coeffs: list[int]) -> list[complex]:
                 if stalled >= _STALL_SWEEPS:
                     break
     z = np.where(np.isfinite(z), z, 0)
-    return list(z)
+    return list(z), sweeps
 
 
 def _aberth_fixed(coeffs: list[int], start, tol: float, max_iter: int, bits: int):
@@ -189,6 +183,7 @@ def _aberth_fixed(coeffs: list[int], start, tol: float, max_iter: int, bits: int
     one = 1 << bits
     zr = [_fixed(w.real, bits) for w in start]
     zi = [_fixed(w.imag, bits) for w in start]
+    shifted = [c << bits for c in reversed(coeffs)]
     freeze = tol / 8  # roots this settled stop moving but keep repelling
     done = [False] * deg
     for _ in range(max_iter):
@@ -204,7 +199,7 @@ def _aberth_fixed(coeffs: list[int], start, tol: float, max_iter: int, bits: int
         for i in range(deg):
             if done[i]:
                 continue
-            pr, pi_, dr, di = _horner_fixed(coeffs, zr[i], zi[i], bits)
+            pr, pi_, dr, di = _horner_fixed(shifted, zr[i], zi[i], bits)
             den = dr * dr + di * di
             try:
                 if den == 0:  # p'(z) = 0: take a plain step w = p(z)
@@ -250,22 +245,29 @@ def _split(xs: list[int], bits: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(hi), np.array(lo)
 
 
-def _horner_fixed(coeffs: list[int], xr: int, xi: int, bits: int):
-    """p(x) and p'(x) for integer coefficients (lowest degree first) at
-    the fixed-point x = (xr + i xi) / 2^bits, both scaled by 2^bits."""
-    pr, pi_ = coeffs[-1] << bits, 0
+def _horner_fixed(shifted: list[int], xr: int, xi: int, bits: int):
+    """p(x) and p'(x) at the fixed-point x = (xr + i xi) / 2^bits, both
+    scaled by 2^bits, for p's integer coefficients times 2^bits, highest
+    degree first.  A step (a + ib) x takes three products, k = xr (a + b),
+    k - b (xr + xi) and k + a (xi - xr): the four-product form's integers."""
+    s, t = xr + xi, xi - xr
+    pr, pi_ = shifted[0], 0
     dr = di = 0
-    for c in reversed(coeffs[:-1]):
-        dr, di = ((dr * xr - di * xi) >> bits) + pr, ((dr * xi + di * xr) >> bits) + pi_
-        pr, pi_ = ((pr * xr - pi_ * xi) >> bits) + (c << bits), (pr * xi + pi_ * xr) >> bits
+    for c in shifted[1:]:
+        k = xr * (dr + di)
+        dr, di = ((k - di * s) >> bits) + pr, ((k + dr * t) >> bits) + pi_
+        k = xr * (pr + pi_)
+        pr, pi_ = ((k - pi_ * s) >> bits) + c, (k + pr * t) >> bits
     return pr, pi_, dr, di
 
 
-def _horner_value(coeffs: list[int], xr: int, xi: int, bits: int):
+def _horner_value(shifted: list[int], xr: int, xi: int, bits: int):
     """p(x) alone, by the recurrence of _horner_fixed, scaled by 2^bits."""
-    pr, pi_ = coeffs[-1] << bits, 0
-    for c in reversed(coeffs[:-1]):
-        pr, pi_ = ((pr * xr - pi_ * xi) >> bits) + (c << bits), (pr * xi + pi_ * xr) >> bits
+    s, t = xr + xi, xi - xr
+    pr, pi_ = shifted[0], 0
+    for c in shifted[1:]:
+        k = xr * (pr + pi_)
+        pr, pi_ = ((k - pi_ * s) >> bits) + c, (k + pr * t) >> bits
     return pr, pi_
 
 
@@ -283,12 +285,9 @@ def classify_roots(
     """Census of a root list: the circle test wins over the realness test
     (so -1 counts as on_unit_circle), and off-circle complex roots are
     counted individually, conjugate pairs contributing two."""
-    counts = {
-        "real_positive": 0,
-        "on_unit_circle": 0,
-        "complex_pairs_off_circle": 0,
-        "other_real": 0,
-    }
+    counts = dict.fromkeys(
+        ("real_positive", "on_unit_circle", "complex_pairs_off_circle", "other_real"), 0
+    )
     for z in roots:
         counts[_classify_one(complex(z), tol_circle, tol_real)] += 1
     return counts
@@ -309,9 +308,10 @@ def _residuals(coeffs: list[int], roots: list[complex]) -> list[float]:
     deg = len(coeffs) - 1
     scale = max(abs(c) for c in coeffs)
     bits = _RESIDUAL_BITS
+    shifted = [c << bits for c in reversed(coeffs)]
     out = []
     for z in roots:
-        pr, pi_ = _horner_value(coeffs, _fixed(z.real, bits), _fixed(z.imag, bits), bits)
+        pr, pi_ = _horner_value(shifted, _fixed(z.real, bits), _fixed(z.imag, bits), bits)
         sq = pr * pr + pi_ * pi_
         k = max(0, 121 - sq.bit_length() // 2)
         val = isqrt(sq << (2 * k))  # floor(|p(z)| 2^(bits + k))

@@ -112,7 +112,7 @@ def test_horner_fixed_is_exact_at_a_dyadic_point():
     coeffs = [1, -2, 0, 5, 3]
     bits = 136
     xr, xi = 3 << (bits - 2), 1 << (bits - 1)
-    pr, pi_, dr, di = _horner_fixed(coeffs, xr, xi, bits)
+    pr, pi_, dr, di = _horner_fixed([c << bits for c in reversed(coeffs)], xr, xi, bits)
     x = (Fraction(3, 4), Fraction(1, 2))
 
     def mul(a, b):
@@ -186,9 +186,10 @@ def test_residuals_round_as_the_40_digit_mpmath_quotient(survey_21):
             coeffs, _ = clear_denominators(beta(rep.n).value.num.coeffs)
             coeffs = coeffs[next(i for i, c in enumerate(coeffs) if c):]
             scale = max(abs(c) for c in coeffs)
+            shifted = [c << _RESIDUAL_BITS for c in reversed(coeffs)]
             for z, res in zip(rep.roots, rep.residuals):
                 xr, xi = int(Fraction(z.real) * one), int(Fraction(z.imag) * one)
-                pr, pi_, _, _ = _horner_fixed(coeffs, xr, xi, _RESIDUAL_BITS)
+                pr, pi_, _, _ = _horner_fixed(shifted, xr, xi, _RESIDUAL_BITS)
                 val = mp.sqrt(mp.mpf(pr * pr + pi_ * pi_))
                 norm = mp.mpf(scale * one) * mp.mpf(max(1.0, abs(z))) ** rep.degree
                 assert res == float(val / norm), (rep.n, z)
@@ -205,33 +206,6 @@ def test_working_bits_match_mpmath_dps_to_prec(k):
         tol = float(f"{mantissa}e-{k}")
         want = mp.libmp.dps_to_prec(max(40, int(-mp.log10(tol)) + 25))
         assert _working_bits(tol) == want, tol
-
-
-def test_warm_start_stops_when_it_stalls(monkeypatch):
-    # without a stall stop the float seed runs to its 600-sweep cap on the
-    # stripped, Phi-divided numerator of beta_21 (degree 126)
-    import numpy as np
-
-    from qzeta import roots
-    from qzeta.arith import clear_denominators
-    from qzeta.poly import divide_out_cyclotomic
-
-    coeffs, _ = clear_denominators(beta(21).value.num.coeffs)
-    stripped = Poly(coeffs[next(i for i, c in enumerate(coeffs) if c):])
-    rest, _ = divide_out_cyclotomic(stripped, dict.fromkeys(range(1, 23), float("inf")))
-    ints, _ = clear_denominators(rest.coeffs)
-    assert len(ints) - 1 == 126
-    calls = 0
-    polyval = np.polyval
-
-    def counting(p, x):
-        nonlocal calls
-        calls += 1
-        return polyval(p, x)
-
-    monkeypatch.setattr(roots.np, "polyval", counting)
-    roots._warm_start(ints)
-    assert calls // 2 <= 100  # p and p' once per sweep
 
 
 # census for n = 22..26, captured before the conversions moved to ldexp
@@ -255,16 +229,39 @@ def _survey_digest(reports):
     return h.hexdigest()
 
 
-def test_survey_roots_and_residuals_are_bit_identical_to_the_fraction_kernels():
-    # sha256 of repr of every root and residual, taken when every float ->
-    # fixed conversion went through Fraction and the residuals through
-    # _horner_fixed; numpy's float64 kernels on x86-64 gave these
+def test_survey_roots_and_residuals_are_pinned():
+    # sha256 of repr of every root and residual; numpy's float64 kernels on
+    # x86-64 gave these.  The power-table warm start moved them from 3e21fd7e...
+    # and a0c238e0... only in the imaginary parts of 8 and 2 real roots, by
+    # at most 1.2e-41 (see the test below)
     assert _survey_digest(beta_root_survey(16)) == (
-        "3e21fd7eff94c6641e697a9baec51d948a4604edb617a9a57a23a1eb23be30ee"
+        "9ec0292e1ec78a29bbb7da620eaa0403c8018624ee5da5913baeee937099548f"
     )
     assert _survey_digest(beta_root_survey(8, chi=character(5, 2))) == (
-        "a0c238e097cf056bbce52de17c374c48be7d98effdec266f919005418a4db293"
+        "7600777246cbc2333b6170302d6177366f3ffcce815ed916e469a9142f4aafe9"
     )
+
+
+def test_survey_matches_the_table_taken_before_the_power_table_warm_start():
+    # real parts and residuals bit for bit, imaginary parts within 2^-130
+    from pathlib import Path
+
+    table = Path(__file__).with_name("survey_roots_table.txt").read_text().split("\n")
+    rows = [line.split() for line in table if line and not line.startswith("#")]
+    got = [
+        (label, str(rep.n), z, res)
+        for label, reports in (
+            ("beta", beta_root_survey(16)),
+            ("chi5_2", beta_root_survey(8, chi=character(5, 2))),
+        )
+        for rep in reports
+        for z, res in zip(rep.roots, rep.residuals)
+    ]
+    assert len(got) == len(rows) == 787
+    for (label, n, z, res), (want_label, want_n, re, im, want_res) in zip(got, rows):
+        assert (label, n) == (want_label, want_n)
+        assert z.real == float.fromhex(re) and res == float.fromhex(want_res), (label, n, z)
+        assert abs(z.imag - float.fromhex(im)) <= 2.0**-130, (label, n, z)
 
 
 def test_find_roots_rejects_max_iter_below_one():
@@ -361,14 +358,13 @@ def test_an_overflowing_newton_step_ends_in_root_finding_error():
 def test_horner_value_is_the_value_half_of_horner_fixed(bits, coeffs, xr, xi):
     from qzeta.roots import _horner_fixed, _horner_value
 
-    assert _horner_value(coeffs, xr, xi, bits) == _horner_fixed(coeffs, xr, xi, bits)[:2]
+    shifted = [c << bits for c in reversed(coeffs)]
+    assert _horner_value(shifted, xr, xi, bits) == _horner_fixed(shifted, xr, xi, bits)[:2]
 
 
 def test_warm_start_sweeps_stop_at_the_stall(monkeypatch):
-    # one fill_diagonal per sweep; without the stall stop the float seed of
-    # the degree-126 rest of beta_21 runs to its 600-sweep cap
-    import numpy as np
-
+    # the warm start reports its sweeps; on the degree-126 rest of beta_21
+    # the stall stop ends them, and without it they run to the 600-sweep cap
     from qzeta import roots
     from qzeta.arith import clear_denominators
     from qzeta.poly import divide_out_cyclotomic
@@ -377,14 +373,51 @@ def test_warm_start_sweeps_stop_at_the_stall(monkeypatch):
     stripped = Poly(coeffs[next(i for i, c in enumerate(coeffs) if c):])
     rest, _ = divide_out_cyclotomic(stripped, dict.fromkeys(range(1, 23), float("inf")))
     ints, _ = clear_denominators(rest.coeffs)
-    sweeps = 0
-    fill_diagonal = np.fill_diagonal
+    assert len(ints) - 1 == 126
+    seeds, sweeps = roots._warm_start(ints)
+    assert len(seeds) == 126 and 20 <= sweeps <= 100
+    monkeypatch.setattr(roots, "_STALL_SWEEPS", 10**9)
+    assert roots._warm_start(ints)[1] == 600
 
-    def counting(a, val):
-        nonlocal sweeps
-        sweeps += 1
-        return fill_diagonal(a, val)
 
-    monkeypatch.setattr(roots.np, "fill_diagonal", counting)
-    roots._warm_start(ints)
-    assert 20 <= sweeps <= 100
+def test_survey_to_21_makes_at_most_1600_fixed_point_evaluations(monkeypatch):
+    # a count of work, not of time: a seed that stops too early (a 10-sweep
+    # stall stop) makes 2,778
+    from qzeta import roots
+
+    calls = 0
+    horner = roots._horner_fixed
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return horner(*args)
+
+    monkeypatch.setattr(roots, "_horner_fixed", counting)
+    beta_root_survey(21)
+    assert calls <= 1600
+
+
+def _horner_four_products(coeffs, xr, xi, bits):
+    # _horner_fixed as it was, with four integer products a complex step
+    pr, pi_ = coeffs[-1] << bits, 0
+    dr = di = 0
+    for c in reversed(coeffs[:-1]):
+        dr, di = ((dr * xr - di * xi) >> bits) + pr, ((dr * xi + di * xr) >> bits) + pi_
+        pr, pi_ = ((pr * xr - pi_ * xi) >> bits) + (c << bits), (pr * xi + pi_ * xr) >> bits
+    return pr, pi_, dr, di
+
+
+@pytest.mark.parametrize("bits", [53, 136, 200])
+@given(
+    coeffs=st.lists(st.integers(-(1 << 600), 1 << 600), min_size=1, max_size=12),
+    xr=st.integers(-(1 << 500), 1 << 500),
+    xi=st.integers(-(1 << 500), 1 << 500),
+)
+def test_three_product_horner_is_the_four_product_horner(bits, coeffs, xr, xi):
+    from qzeta.roots import _horner_fixed, _horner_value
+
+    want = _horner_four_products(coeffs, xr, xi, bits)
+    shifted = [c << bits for c in reversed(coeffs)]
+    assert _horner_fixed(shifted, xr, xi, bits) == want
+    assert _horner_value(shifted, xr, xi, bits) == want[:2]
