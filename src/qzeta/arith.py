@@ -1,7 +1,8 @@
 """Elementary integer arithmetic shared across the package, including the
 polynomial kernels on integer coefficient lists (lowest degree first) that
 ``poly``, ``fields`` and ``roots`` share, among them reduction modulo Phi_m
-and the Galois norm; it imports nothing from the package.
+and the Galois norm, and the square-and-multiply of the exact types' powers;
+it imports nothing from the package.
 
 Everything here is deterministic, exact, and cheap at the scales the
 library targets (moduli and cyclotomic indices in the low hundreds).
@@ -106,6 +107,18 @@ def clear_denominators(cs) -> tuple[list[int], int]:
     for c in cs:
         den = lcm(den, c.denominator)
     return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def power(base, n: int, one):
+    """base ** n for an integer n >= 0 by square-and-multiply, from one."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def int_poly_mul(a, b) -> list[int]:

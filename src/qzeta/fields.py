@@ -20,6 +20,7 @@ from .arith import (
     cyclotomic_reduce,
     euler_phi,
     int_poly_mul,
+    power,
 )
 
 Rat = Fraction
@@ -174,14 +175,7 @@ class CycRat:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = CycRat.one(self.m)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, CycRat.one(self.m))
 
     def __bool__(self):
         return not self.is_zero()

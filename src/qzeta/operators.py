@@ -28,11 +28,11 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
-from math import pi
+from math import lcm, pi
 
 from .arith import int_poly_add, primes_upto
 from .characters import DirichletCharacter
-from .poly import Poly, branch_var
+from .poly import Poly, branch_var, common_m
 from .quantum import quantum_value
 from .ratfunc import CycloFrac, RatFunc
 from .series import TruncSeries
@@ -279,27 +279,35 @@ def apply_series(spec: OperatorSpec, P: Poly, order: int) -> TruncSeries:
         raise DomainError("series order must be >= 1")
     kernel, M = _kernel(spec)
     groups = [(c_a, range(a, order + 1, M)) for a, c_a in kernel.items()]
-    return TruncSeries(_bracket_sum(P, groups, spec.branch, m, order), order, spec.branch)
+    value = _bracket_sum(P, groups, spec.branch, m, order)
+    return TruncSeries.from_poly(value, order, spec.branch)
 
 
-def _bracket_sum(P: Poly, groups, b: int, m: int, order: int) -> list:
+def _bracket_sum(P: Poly, groups, b: int, m: int, order: int) -> Poly:
     """sum of k [c/b]^m P(v^c) over the groups (k, cs), cs ascending, through
     v^order.  As [c/b] = (1 - v^c)/(1 - v^b), it is one numerator
-    sum k (1 - v^c)^m P(v^c), which has O(order/c) terms for each c, divided
-    once by (1 - v^b)^m in m strided prefix sums."""
-    weights = [(e, w) for e, w in enumerate((P * Poly([1, -1]) ** m).coeffs) if w]
-    out: list = [0] * (order + 1)
-    for k, cs in groups:
-        for e, w in weights:
-            kw = k * w
-            for c in cs:
-                if c * e > order:
-                    break
-                out[c * e] += kw
-    for _ in range(m):
-        for i in range(b, order + 1):
-            out[i] += out[i - b]
-    return out
+    sum k (1 - v^c)^m P(v^c), which has O(order/c) terms for each c, added
+    on the integer lanes of each k W, W = P (1 - v)^m, over their common
+    denominator, and divided once by (1 - v^b)^m in m strided prefix sums
+    on each lane."""
+    W = P * Poly([1, -1]) ** m
+    parts = [(W.scale(k), cs) for k, cs in groups]
+    den = lcm(*(kW.den for kW, _ in parts))
+    lanes = [[0] * (order + 1) for _ in range(max(len(kW.lanes) for kW, _ in parts))]
+    for kW, cs in parts:
+        for lane, out in zip(kW.lanes, lanes):
+            for e, w in enumerate(lane):
+                if w:
+                    w *= den // kW.den
+                    for c in cs:
+                        if c * e > order:
+                            break
+                        out[c * e] += w
+    for lane in lanes:
+        for _ in range(m):
+            for i in range(b, order + 1):
+                lane[i] += lane[i - b]
+    return Poly.from_lanes(lanes, den, common_m([kW for kW, _ in parts]), branch_var(b))
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +329,11 @@ def euler_product_apply(s: int, P: Poly, prime_bound: int, order: int) -> TruncS
     _check_operand(P)
     if order < 1:
         raise DomainError("series order must be >= 1")
-    coeffs = TruncSeries.from_poly(P, order).coeffs
+    value = Poly(P, "q").truncate(order)
     for p in primes_upto(prime_bound):
         powers = [p ** e for e in range(1, order.bit_length()) if p ** e <= order]
-        total = _bracket_sum(Poly(coeffs[:order // p + 1]), [(1, powers)], 1, m, order)
-        coeffs = [x + y for x, y in zip(coeffs, total)]
-    return TruncSeries(coeffs, order, 1)
+        value += _bracket_sum(value.truncate(order // p), [(1, powers)], 1, m, order)
+    return TruncSeries.from_poly(value, order)
 
 
 # ---------------------------------------------------------------------------

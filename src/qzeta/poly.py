@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import gcd as int_gcd, lcm
 
 from .arith import (clear_denominators, cyclotomic_int_coeffs, cyclotomic_norm, cyclotomic_reduce,
-                    euler_phi, int_poly_add, int_poly_divmod_monic, int_poly_mul)
+                    euler_phi, int_poly_add, int_poly_divmod_monic, int_poly_mul, power)
 from .fields import SCALARS, CycRat, FieldMismatchError
 
 
@@ -172,14 +172,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative powers leave the polynomial ring")
-        result = Poly.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, Poly.one(self.var))
 
     def __divmod__(self, other: "Poly"):
         other = self._coerce(other)
@@ -245,6 +238,12 @@ class Poly:
     def shift(self, k: int) -> "Poly":
         """Multiply by var^k."""
         return Poly.from_lanes([(0,) * k + lane for lane in self.lanes], self.den, self.m, self.var)
+
+    def truncate(self, n: int) -> "Poly":
+        """The terms of degree at most n."""
+        if self.degree <= n:
+            return self
+        return Poly.from_lanes([lane[:n + 1] for lane in self.lanes], self.den, self.m, self.var)
 
     def __call__(self, x):
         """Evaluate by Horner's rule; x may be any ring element, complex, or mpc."""

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from .arith import cyclotomic_int_coeffs, divisors, int_poly_mul, phi_factor_indices
+from .arith import cyclotomic_int_coeffs, divisors, int_poly_mul, phi_factor_indices, power
 from .fields import SCALARS
 from .poly import (Poly, add_lanes, common_m, common_var, cyclotomic_coprime, divide_out_cyclotomic,
                    poly_gcd)
@@ -169,15 +169,7 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inverse() ** (-n)
-        result = RatFunc.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, RatFunc.one(self.var))
 
     def __bool__(self):
         return not self.is_zero()

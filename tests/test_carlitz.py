@@ -332,7 +332,7 @@ def test_complex_characters_add_no_cycrat_values(monkeypatch, cold_carlitz):
     for N, index in ((5, 1), (5, 3), (7, 1), (7, 2), (7, 4), (7, 5)):
         chi = character(N, index)
         for n in range(1, 4):
-            for backend in ("geometric", "delta"):
+            for backend in ("geometric", "delta", "series"):
                 assert verify_chi(chi, n, backend).passed
     assert calls == []
 
@@ -361,7 +361,7 @@ def test_complex_characters_build_cycrat_values_only_as_character_values(monkeyp
     monkeypatch.setattr(CycRat, "__init__", recording)
     for key, top in COMPLEX_CHARACTERS.items():
         for n in range(1, top + 1):
-            for backend in ("geometric", "delta"):
+            for backend in ("geometric", "delta", "series"):
                 assert verify_chi(chars[key], n, backend).passed
     assert set(origins) <= {"qzeta.characters"}, origins
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qzeta import operators
 from qzeta.characters import character, characters
+from qzeta.fields import CycRat
 from qzeta.operators import (
     ConvergenceError,
     DomainError,
@@ -202,7 +203,19 @@ def test_bracket_sum_matches_schoolbook(c, b, m, order):
     for _ in range(m):
         want = [sum(want[j] * base[k - j] for j in range(k + 1)) for k in range(order + 1)]
     # [c/b]^m P(v^c) with P = 1: the numerator (1 - v^c)^m, divided by (1 - v^b)^m
-    assert _bracket_sum(Poly.one(), [(1, [c])], b, m, order) == want
+    assert _bracket_sum(Poly.one(), [(1, [c])], b, m, order) == Poly(want)
+
+
+@pytest.mark.parametrize("weights", [(2, Fraction(1, 3)), (Fraction(3, 4), CycRat.zeta_power(4, 1)),
+                                     (CycRat(3, [Fraction(1, 2), 1]), -5)])
+def test_bracket_sum_is_linear_in_the_weights(weights):
+    # groups whose weights k scale W = P (1 - v)^m to different denominators
+    P, (k1, k2) = Poly([0, Fraction(1, 2), Fraction(-1, 6)]), weights
+    cs1, cs2 = range(1, 31, 3), range(2, 31, 3)
+    got = _bracket_sum(P, [(k1, cs1), (k2, cs2)], 3, 2, 30)
+    want = (_bracket_sum(P, [(1, cs1)], 3, 2, 30).scale(k1)
+            + _bracket_sum(P, [(1, cs2)], 3, 2, 30).scale(k2))
+    assert got == want
 
 
 @pytest.mark.parametrize("s", [0, -1, -2])

@@ -66,6 +66,8 @@ def test_optimized_interpreter_prints_the_same():
         "carlitz beta --n 4 --factored",
         "hurwitz beta --n 2 --x 1/2",
         "dirichlet beta-chi --modulus 4 --index 1 --n 2",
+        "zeta apply --s 0 --poly q --method series --order 10 --x 1/2",
+        "zeta euler-check --s -1 --prime-bound 41 --order 40",
     ):
         run = subprocess.run(
             [sys.executable, "-O", "-m", "qzeta.cli", *shlex.split(command)],
