@@ -139,6 +139,21 @@ def int_poly_add(out: list[int], a, k: int, c: int) -> None:
         out[k + i] += c * x
 
 
+def prefix_sum(ys: list[int], k: int) -> list[int]:
+    """ys / (1 - x^k) through ys's length: ys_i += ys_(i-k), in place."""
+    for i in range(k, len(ys)):
+        ys[i] += ys[i - k]
+    return ys
+
+
+def int_div_pow_minus_one(num, k: int) -> list[int]:
+    """num / (x^k - 1), exactly: a nonzero remainder raises ArithmeticError."""
+    ys, cut = prefix_sum([-c for c in num], k), max(len(num) - k, 0)
+    if any(ys[cut:]):
+        raise ArithmeticError(f"x^{k} - 1 does not divide the polynomial")
+    return ys[:cut]
+
+
 def int_poly_divmod_monic(num, den) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer coefficient lists by a monic den;
     the remainder is untrimmed, len(den) - 1 long unless num is shorter."""

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, inf
 
+from .arith import int_poly_add
 from .characters import DirichletCharacter
 from .operators import (
     CheckReport,
@@ -25,6 +26,7 @@ from .operators import (
     _chi_scalar,
     _delta,
     _geometric,
+    _hurwitz_x,
     _is_identity,
 )
 from .poly import Poly, add_lanes, branch_var, divide_out_cyclotomic
@@ -219,20 +221,28 @@ def verify_theorem(n: int, backend: str = "geometric", series_order: int = 60) -
 
 
 @lru_cache(maxsize=None)
-def _beta_poly_cf(n: int, x: Fraction) -> CycloFrac:
-    """(q^x beta + [x])^n = sum_i C(n,i) q^(xi) [x]^(n-i) beta_i, assembled
-    over one cyclotomic denominator on branch b = denominator of x.  Cached
-    per (n, x): its callers never mutate it."""
-    a, b = x.numerator, x.denominator
+def _branch_basis(n: int, b: int) -> tuple:
+    """``raise_to_union`` (raised as tuples, den, m = 1, union) of the terms
+    C(n,i) beta_i(v^b) / (v^b - 1)^(n-i), i <= n, shared by every x = a/b."""
     _extend_beta_table(n)
-    var = branch_var(b)
-    bx_num = Poly([-1] + [0] * (a - 1) + [1], var)  # v^a - 1
-    terms = []
-    for i in range(n + 1):
-        # C(n,i) v^(a i) beta_i(v^b) [x]^(n-i), with [x] = (v^a - 1)/(v^b - 1)
-        term = _beta_cf[i].scale_exponents(b, var).shift(a * i).times_scalar(comb(n, i))
-        terms.append(term.times_poly(bx_num ** (n - i)).div_pow_one_minus_var_pow(b, n - i))
-    return CycloFrac.sum(terms, var)
+    terms = [_beta_cf[i].scale_exponents(b, branch_var(b)).times_scalar(comb(n, i))
+             .div_pow_one_minus_var_pow(b, n - i) for i in range(n + 1)]
+    raised, den, m, union = raise_to_union(terms)
+    return tuple(tuple(lane) for (lane,) in raised), den, m, union  # one lane each, over Q
+
+
+@lru_cache(maxsize=None)
+def _beta_poly_cf(n: int, x: Fraction) -> CycloFrac:
+    """(q^x beta + [x])^n = sum_i C(n,i) q^(xi) [x]^(n-i) beta_i on branch
+    b = denominator of x: sum_i v^(ai) (v^a - 1)^(n-i) times ``_branch_basis``
+    term i, added as shifts.  Cached per (n, x): its callers never mutate it."""
+    a, b = x.numerator, x.denominator
+    lanes, den, m, union = _branch_basis(n, b)
+    out = []
+    for i, lane in enumerate(lanes):
+        for j in range(n - i + 1):
+            int_poly_add(out, lane, a * (i + j), (-1) ** (n - i - j) * comb(n - i, j))
+    return CycloFrac(Poly.from_lanes([out], den, m, branch_var(b)), union)
 
 
 def beta_poly(n: int, x) -> BetaPolynomial:
@@ -243,9 +253,7 @@ def beta_poly(n: int, x) -> BetaPolynomial:
     >>> beta_poly(0, Fraction(1, 2)).value
     RatFunc('1')
     """
-    x = Fraction(x)
-    if x <= 0:
-        raise DomainError("beta_poly requires x > 0")
+    x = _hurwitz_x(x)
     if n < 0:
         raise ValueError("index must be >= 0")
     return BetaPolynomial(n, x, x.denominator, _beta_poly_cf(n, x).to_ratfunc())
@@ -260,9 +268,7 @@ def verify_hurwitz(
     no exact rational evaluation; that case is reported as outside exact
     mode rather than silently skipped.
     """
-    x = Fraction(x)
-    if x <= 0:
-        raise DomainError("x must be a positive rational")
+    x = _hurwitz_x(x)
     if n < 0:
         raise ValueError("index must be >= 0")
     name = f"q^x beta_{n}({x}) = zeta_q({1 - n}, {x})(q - {n + 1}q^2) [{backend}]"

@@ -3,7 +3,7 @@
 Three independent exact backends evaluate the same operator:
 
 * ``apply_geometric`` expands [k+x]^m by the binomial theorem and sums
-  each geometric piece in closed form;
+  each geometric piece in closed form, over one denominator;
 * ``apply_delta`` realizes the value as an iterated q-difference of the
   periodic generating function f(r) = sum a_n q^{nr}, evaluated at w = q^r;
 * ``apply_series`` sums the definition in truncated series space, exact
@@ -30,11 +30,11 @@ from fractions import Fraction
 from itertools import count
 from math import lcm, pi
 
-from .arith import int_poly_add, primes_upto
+from .arith import divisors, int_div_pow_minus_one, int_poly_add, prefix_sum, primes_upto
 from .characters import DirichletCharacter
 from .poly import Poly, branch_var, common_m
 from .quantum import quantum_value
-from .ratfunc import CycloFrac, RatFunc
+from .ratfunc import CycloFrac, RatFunc, _phi_product
 from .series import TruncSeries
 
 
@@ -63,10 +63,7 @@ class OperatorSpec:
 
     @classmethod
     def hurwitz(cls, s: int, x) -> "OperatorSpec":
-        x = Fraction(x)
-        if x <= 0:
-            raise DomainError("Hurwitz parameter x must be a positive rational")
-        return cls(_check_exact_s(s), x=x)
+        return cls(_check_exact_s(s), x=_hurwitz_x(x))
 
     @classmethod
     def dirichlet_l(cls, s: int, chi: DirichletCharacter) -> "OperatorSpec":
@@ -128,6 +125,16 @@ def _check_exact_s(s: int) -> int:
     return s
 
 
+def _hurwitz_x(x) -> Fraction:
+    """x as a positive Fraction; float and complex x raise TypeError, as
+    Fraction(0.1) has the denominator 2^55."""
+    if isinstance(x, (float, complex)):
+        raise TypeError(f"exact mode needs a rational x, not {type(x).__name__} {x!r}")
+    if (x := Fraction(x)) <= 0:
+        raise DomainError("Hurwitz parameter x must be a positive rational")
+    return x
+
+
 def _check_operand(P: Poly) -> Poly:
     if not isinstance(P, Poly):
         raise TypeError("operator operand must be a Poly")
@@ -164,16 +171,27 @@ def apply_geometric(spec: OperatorSpec, P: Poly) -> ApplyResult:
 
 
 def _geometric(spec: OperatorSpec, P: Poly) -> CycloFrac:
-    """apply_geometric's value on branch spec.branch, unreduced."""
-    m = -spec.s
-    b = spec.branch
-    var = branch_var(b)
-    kernel = _kernel(spec)
+    """apply_geometric's value on branch spec.branch, unreduced.  The pieces
+    w sum_a c_a v^(a e) / (1 - v^(M e)) add over one denominator, the union U
+    of the Phi_d for d | M e: piece e's cofactor is prod U / (1 - v^(M e)),
+    one strided prefix sum, and the pieces add as shifted lanes of it."""
+    m, b = -spec.s, spec.branch
+    coeffs, M = _kernel(spec)
+    kernel = Poly([coeffs.get(a, 0) for a in range(max(coeffs) + 1)])
     # the weight of q^e is the coefficient of q^e in P(q) (q - 1)^m
-    weights = (P * Poly([-1, 1]) ** m).coeffs
-    terms = (_geometric_piece(kernel, e, var).times_scalar(w)
-             for e, w in enumerate(weights) if w)
-    return CycloFrac.sum(terms, var).div_pow_one_minus_var_pow(b, m)
+    pieces = [(e, kernel.scale(w)) for e, w in enumerate((P * Poly([-1, 1]) ** m).coeffs) if w]
+    union = dict.fromkeys(set().union(*(divisors(M * e) for e, _ in pieces)), 1)
+    L = _phi_product(union)
+    den = lcm(*(g.den for _, g in pieces))
+    lanes = [[] for _ in range(max((len(g.lanes) for _, g in pieces), default=1))]
+    for e, g in pieces:
+        cofactor = int_div_pow_minus_one(L, M * e)  # -prod U / (1 - v^(M e))
+        for lane, out in zip(g.lanes, lanes):
+            for a, c in enumerate(lane):
+                if c:
+                    int_poly_add(out, cofactor, a * e, -c * (den // g.den))
+    num = Poly.from_lanes(lanes, den, common_m(g for _, g in pieces), branch_var(b))
+    return CycloFrac(num, union).div_pow_one_minus_var_pow(b, m)
 
 
 def _kernel(spec: OperatorSpec) -> tuple[dict[int, object], int]:
@@ -186,16 +204,6 @@ def _kernel(spec: OperatorSpec) -> tuple[dict[int, object], int]:
         N = spec.chi.modulus
         return {u: c for u in range(1, N + 1) if (c := _chi_scalar(spec.chi, u))}, N
     return {1: 1}, 1
-
-
-def _geometric_piece(kernel, e: int, var: str) -> CycloFrac:
-    """sum over the operator's index set of q^(index * e), as a CycloFrac:
-    sum_a c_a v^(a e) / (1 - v^(M e))."""
-    coeffs, M = kernel
-    num = [0] * (max(coeffs) * e + 1)
-    for a, c in coeffs.items():
-        num[a * e] = c
-    return CycloFrac(Poly(num, var)).div_one_minus(M * e)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +313,7 @@ def _bracket_sum(P: Poly, groups, b: int, m: int, order: int) -> Poly:
                         out[c * e] += w
     for lane in lanes:
         for _ in range(m):
-            for i in range(b, order + 1):
-                lane[i] += lane[i - b]
+            prefix_sum(lane, b)
     return Poly.from_lanes(lanes, den, common_m([kW for kW, _ in parts]), branch_var(b))
 
 
@@ -366,7 +373,7 @@ def check_distribution(N: int, x, s: int, r: int) -> CheckReport:
         raise DomainError("distribution check needs N >= 1")
     if r < 1:
         raise DomainError("distribution check needs r >= 1")
-    x = Fraction(x)
+    x = _hurwitz_x(x)
     t = -_check_exact_s(s)
     P = Poly.monomial(r)
     inner_branch = x.denominator * N

@@ -181,10 +181,11 @@ def series_from_ratfunc(f: RatFunc, order: int, branch: int = 1) -> TruncSeries:
     taps = [(i, c * pw[i - 1]) for i, c in enumerate(D[1:order + 1], 1) if c]
     out = []
     for lane in num.lanes:
-        y = []
+        y, live = [], 0  # taps[:live] are those with i <= k, as the i ascend
         for k in range(order + 1):
+            live += live < len(taps) and taps[live][0] <= k
             nk = pw[k] * lane[k] if k < len(lane) else 0
-            y.append(nk - sum(t * y[k - i] for i, t in taps if i <= k))
+            y.append(nk - sum(t * y[k - i] for i, t in taps[:live]))
         out.append([c * f.den.den * pw[order - k] for k, c in enumerate(y)])
     value = Poly.from_lanes(out, g * num.den * pw[order + 1], num.m, var)
     return TruncSeries.from_poly(value, order, branch)

@@ -23,7 +23,7 @@ from qzeta.carlitz import (
 from qzeta.characters import character, characters
 from qzeta.fields import CycRat
 from qzeta.operators import DomainError, OperatorSpec, apply_delta, apply_geometric
-from qzeta.poly import Poly, cyclotomic, poly_gcd
+from qzeta.poly import Poly, branch_var, cyclotomic, poly_gcd
 from qzeta.quantum import quantum_value
 from qzeta.ratfunc import CycloFrac, RatFunc
 
@@ -497,11 +497,57 @@ def test_character_relations_build_each_term_once(cold_carlitz):
     assert carlitz._chi_basis.cache_info().misses == 12
 
 
+HURWITZ_GRID = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4))
+
+
+def test_relations_grid_builds_each_branch_basis_once(cold_carlitz):
+    # the benchmark's Hurwitz and character relations need 84 values beta_n(x)
+    # on 30 pairs (n, branch): x = 1/3 and 2/3 share one basis, and so do
+    # the units j/N of a modulus
+    for x in HURWITZ_GRID:
+        for n in range(1, 7):
+            for backend in ("geometric", "delta"):
+                assert verify_hurwitz(n, x, backend).passed
+    for (N, index), ns in BENCHMARK_CHARS.items():
+        for n in ns:
+            for backend in ("geometric", "delta"):
+                assert verify_chi(character(N, index), n, backend).passed
+    assert carlitz._beta_poly_cf.cache_info().misses == 84
+    assert carlitz._branch_basis.cache_info().misses == 30
+
+
+def expanded_beta_poly(n, x):
+    """(q^x beta + [x])^n term by term: C(n,i) v^(ai) beta_i(v^b) times
+    (v^a - 1)^(n-i) / (v^b - 1)^(n-i), added by CycloFrac.sum."""
+    a, b = x.numerator, x.denominator
+    beta(n)
+    var = branch_var(b)
+    terms = []
+    for i in range(n + 1):
+        term = carlitz._beta_cf[i].scale_exponents(b, var).shift(a * i).times_scalar(comb(n, i))
+        power = Poly([-1] + [0] * (a - 1) + [1], var) ** (n - i)
+        terms.append(term.times_poly(power).div_pow_one_minus_var_pow(b, n - i))
+    return CycloFrac.sum(terms, var)
+
+
+def test_beta_poly_from_the_branch_basis_is_the_expansion(cold_carlitz):
+    # the same unreduced value, numerator and Phi multiset, for n <= 8,
+    # b <= 7 and a <= 2b
+    for n in range(9):
+        for b in range(1, 8):
+            for a in range(1, 2 * b + 1):
+                if gcd(a, b) == 1:
+                    x = Fraction(a, b)
+                    got, want = carlitz._beta_poly_cf(n, x), expanded_beta_poly(n, x)
+                    assert (got.num, got.phi) == (want.num, want.phi), (n, x)
+
+
 def test_cached_values_are_never_mutated(cold_carlitz):
     xs, ns, chis = (Fraction(1, 2), Fraction(2, 5)), (1, 3), (character(5, 1), character(5, 2))
 
     def snapshot():
         return ([repr(carlitz._beta_poly_cf(n, x)) for n in ns for x in xs]
+                + [repr(carlitz._branch_basis(n, x.denominator)) for n in ns for x in xs]
                 + [repr(carlitz._chi_basis(5, n)) for n in ns])
 
     before = snapshot()

@@ -3,10 +3,12 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qzeta import operators
+from qzeta.arith import euler_phi
+from qzeta.carlitz import beta_poly, verify_hurwitz
 from qzeta.characters import character, characters
 from qzeta.fields import CycRat
 from qzeta.operators import (
@@ -14,6 +16,7 @@ from qzeta.operators import (
     DomainError,
     OperatorSpec,
     _bracket_sum,
+    _geometric,
     _kernel,
     apply_delta,
     apply_geometric,
@@ -24,8 +27,8 @@ from qzeta.operators import (
     euler_product_apply,
     numeric_apply,
 )
-from qzeta.poly import Poly, cyclotomic
-from qzeta.ratfunc import RatFunc
+from qzeta.poly import Poly, branch_var, cyclotomic
+from qzeta.ratfunc import CycloFrac, RatFunc
 from qzeta.series import TruncSeries, series_from_ratfunc
 
 Q = Poly.variable()
@@ -37,6 +40,23 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         OperatorSpec.hurwitz(0, Fraction(-1, 2))
     assert OperatorSpec.hurwitz(0, Fraction(1, 2)).branch == 2
+
+
+def test_float_hurwitz_parameters_are_refused():
+    # Fraction(0.1) is exact binary: its branch would be 2^55
+    with pytest.raises(TypeError):
+        OperatorSpec.hurwitz(0, 0.1)
+    with pytest.raises(TypeError):
+        OperatorSpec.hurwitz(0, 0.5j)
+    with pytest.raises(TypeError):
+        beta_poly(1, 0.5)
+    with pytest.raises(TypeError):
+        verify_hurwitz(1, 0.5)
+    with pytest.raises(TypeError):
+        check_distribution(2, 0.5, -1, 1)
+    assert OperatorSpec.hurwitz(0, "1/10").branch == 10
+    assert beta_poly(1, Fraction(1, 2)) == beta_poly(1, "1/2")
+    assert numeric_apply(0, 0.25, Q, 1e-12, x=0.5) == numeric_apply(0, 0.25, Q, 1e-12, x="1/2")
 
 
 def test_operand_must_lack_constant_term():
@@ -138,6 +158,57 @@ def test_backends_agree_at_random(case):
     g = apply_geometric(spec, P).value
     assert g == apply_delta(spec, P).value
     assert series_from_ratfunc(g, 12, spec.branch) == apply_series(spec, P, 12)
+
+
+def piecewise_geometric(spec, P):
+    """The geometric value as CycloFrac.sum of its pieces
+    w sum_a c_a v^(a e) / (1 - v^(M e)), each raised by its own cofactor."""
+    m, b = -spec.s, spec.branch
+    var = branch_var(b)
+    coeffs, M = _kernel(spec)
+    pieces = []
+    for e, w in enumerate((P * Poly([-1, 1]) ** m).coeffs):
+        if w:
+            num = [0] * (max(coeffs) * e + 1)
+            for a, c in coeffs.items():
+                num[a * e] = c
+            pieces.append(CycloFrac(Poly(num, var)).div_one_minus(M * e).times_scalar(w))
+    return CycloFrac.sum(pieces, var).div_pow_one_minus_var_pow(b, m)
+
+
+@st.composite
+def geometric_cases(draw):
+    """(spec, P): Riemann, Hurwitz x = a/b with b <= 5, a real or complex
+    character mod <= 8, s in [-8, 0], and P without constant term (zero
+    included) over Q or over the field Q(zeta_m) of a complex character."""
+    s = draw(st.integers(min_value=-8, max_value=0))
+    kind = draw(st.sampled_from(["riemann", "hurwitz", "real", "complex"]))
+    m = draw(st.sampled_from([3, 4]))
+    if kind == "riemann":
+        spec = OperatorSpec.riemann(s)
+    elif kind == "hurwitz":
+        b = draw(st.integers(min_value=1, max_value=5))
+        spec = OperatorSpec.hurwitz(s, Fraction(draw(st.integers(1, 2 * b)), b))
+    else:
+        chis = [chi for N in range(3, 9) for chi in NONTRIVIAL[N] if chi.is_real() == (kind == "real")]
+        chi = draw(st.sampled_from(chis))
+        spec, m = OperatorSpec.dirichlet_l(s, chi), chi.order if kind == "complex" else m
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    in_field = st.lists(rational, min_size=euler_phi(m), max_size=euler_phi(m))
+    coeffs = draw(st.lists(st.one_of(rational, in_field.map(lambda cs: CycRat(m, cs))), max_size=3))
+    return spec, Poly([0, *coeffs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometric_cases())
+@example((OperatorSpec.riemann(-2), Poly.zero()))
+@example((OperatorSpec.dirichlet_l(-3, character(5, 1)), Poly.zero()))
+def test_geometric_sums_as_the_pieces_do(case):
+    # one denominator with strided cofactors gives the same unreduced value:
+    # numerator and Phi multiset, not only the same rational function
+    spec, P = case
+    got, want = _geometric(spec, P), piecewise_geometric(spec, P)
+    assert (got.num, got.phi) == (want.num, want.phi)
 
 
 @given(

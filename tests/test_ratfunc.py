@@ -7,7 +7,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import ratfuncs, small_fractions
-from qzeta.arith import cyclotomic_int_coeffs, euler_phi, int_poly_divmod_monic
+from qzeta.arith import (cyclotomic_int_coeffs, euler_phi, int_div_pow_minus_one, int_poly_divmod_monic,
+                         int_poly_mul, prefix_sum)
 from qzeta.fields import CycRat, FieldMismatchError
 from qzeta.poly import Poly, add_lanes, cyclotomic, cyclotomic_coprime, norm_lanes, poly_gcd
 from qzeta.quantum import frobenius
@@ -307,3 +308,36 @@ def test_residue_certificate_equals_full_norm_certificate(case):
 def test_norm_certificate_over_q_is_trial_division():
     assert cyclotomic_coprime(Poly([1, 1, 1]), [1, 2, 4, 6])
     assert not cyclotomic_coprime(Poly([1, 1, 1]) * Poly([2, 1]), [3])
+
+
+small_ints = st.lists(st.integers(min_value=-9, max_value=9), max_size=12)
+
+
+@given(small_ints, st.integers(min_value=1, max_value=6))
+def test_prefix_sum_is_the_geometric_series(ys, k):
+    # ys / (1 - x^k) = ys * sum_j x^(jk), through ys's length
+    geometric = [int(i % k == 0) for i in range(len(ys))]
+    want = int_poly_mul(ys, geometric)[:len(ys)] if ys else []
+    assert prefix_sum(list(ys), k) == want
+
+
+@given(small_ints, small_ints, st.integers(min_value=1, max_value=6))
+def test_strided_division_matches_monic_division(quo, rem, k):
+    den = [-1] + [0] * (k - 1) + [1]  # x^k - 1
+    num = int_poly_mul(quo, den) if quo else [0] * k
+    for i, c in enumerate(rem[:k]):
+        num[i] += c
+    want_quo, want_rem = int_poly_divmod_monic(num, den)
+    if any(want_rem):
+        with pytest.raises(ArithmeticError):
+            int_div_pow_minus_one(num, k)
+    else:
+        assert int_div_pow_minus_one(num, k) == want_quo
+
+
+def test_strided_division_refuses_a_remainder():
+    assert int_div_pow_minus_one([-1, 0, 0, 1], 3) == [1]
+    with pytest.raises(ArithmeticError):
+        int_div_pow_minus_one([-1, 0, 1, 1], 3)
+    with pytest.raises(ArithmeticError):
+        int_div_pow_minus_one([2], 3)  # shorter than the divisor

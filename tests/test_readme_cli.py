@@ -68,6 +68,9 @@ def test_optimized_interpreter_prints_the_same():
         "dirichlet beta-chi --modulus 4 --index 1 --n 2",
         "zeta apply --s 0 --poly q --method series --order 10 --x 1/2",
         "zeta euler-check --s -1 --prime-bound 41 --order 40",
+        "zeta apply --s -1 --poly 'q-3*q^2'",
+        "hurwitz verify --x 1/3 --max-n 8",
+        "dirichlet verify --modulus 5 --index 1 --max-n 6",
     ):
         run = subprocess.run(
             [sys.executable, "-O", "-m", "qzeta.cli", *shlex.split(command)],
