@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .carlitz import (
@@ -37,7 +38,6 @@ from .operators import (
     numeric_apply,
 )
 from .poly import Poly, branch_var
-from .ratfunc import PoleError
 from .roots import beta_root_survey
 
 
@@ -169,28 +169,29 @@ def _report_doc(rep: CheckReport) -> dict:
     }
 
 
-def _print_reports(reports: list[CheckReport], fmt: str) -> int:
-    failed = any(r.passed is False for r in reports)
+def _emit(result, fmt: str) -> int:
+    """Print a handler's result once: check reports with their verdict (exit
+    1 if one failed), or a (document, text) pair's document in JSON mode,
+    else its text unless empty."""
+    failed = isinstance(result, list) and any(r.passed is False for r in result)
+    if isinstance(result, list):
+        verdict = "CHECKS FAILED" if failed else "all checks passed"
+        doc = {"passed": not failed, "checks": [_report_doc(r) for r in result]}
+        result = doc, "\n".join([r.summary() for r in result] + [verdict])
+    doc, text = result
     if fmt == "json":
-        print(
-            json.dumps(
-                {"passed": not failed, "checks": [_report_doc(r) for r in reports]}
-            )
-        )
-    else:
-        for r in reports:
-            print(r.summary())
-        print("all checks passed" if not failed else "CHECKS FAILED")
+        print(json.dumps(doc))
+    elif text:
+        print(text)
     return 1 if failed else 0
 
 
 def _beta_json(b: BetaFraction, factored: bool) -> dict:
     if factored:
-        num = b.value.num
         indices = []
         for k, mult in b.factored_denominator():
             indices.extend([k] * mult)
-        return {"n": b.n, "num": str(num), "den_cyclotomic": indices}
+        return {"n": b.n, "num": str(b.value.num), "den_cyclotomic": indices}
     return {"n": b.n, "num": str(b.value.num), "den": str(b.value.den)}
 
 
@@ -208,48 +209,48 @@ def _parse_complex(text: str) -> complex:
     return complex(text)
 
 
+def _ns(args, first: int) -> list[int]:
+    """The indices asked for: --n alone, else first..--max-n."""
+    return [args.n] if args.n is not None else list(range(first, args.max_n + 1))
+
+
+def _chi_from_args(args):
+    """The character --modulus/--index (index 0 if omitted), or None."""
+    return character(args.modulus, args.index or 0) if args.modulus is not None else None
+
+
 def _spec_from_args(args, s: int) -> OperatorSpec:
-    if getattr(args, "x", None) is not None:
+    if args.x is not None:
         return OperatorSpec.hurwitz(s, _parse_fraction(args.x))
-    if getattr(args, "modulus", None) is not None:
-        chi = character(args.modulus, args.index or 0)
-        return OperatorSpec.dirichlet_l(s, chi)
-    return OperatorSpec.riemann(s)
+    chi = _chi_from_args(args)
+    return OperatorSpec.riemann(s) if chi is None else OperatorSpec.dirichlet_l(s, chi)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns check reports or a (document, text) pair
 # ---------------------------------------------------------------------------
 
 
-def _cmd_carlitz_beta(args) -> int:
-    ns = [args.n] if args.n is not None else list(range(0, args.max_n + 1))
-    rows = [_beta_json(beta(k), args.factored) for k in ns]
-    if args.format == "json":
-        print(json.dumps(rows[0] if args.n is not None else rows))
-    else:
-        for row in rows:
-            if args.factored:
-                phis = " ".join(f"Phi_{k}" for k in row["den_cyclotomic"]) or "1"
-                print(f"beta_{row['n']} = ({row['num']}) / ({phis})")
-            else:
-                print(f"beta_{row['n']} = ({row['num']}) / ({row['den']})")
-    return 0
+def _cmd_carlitz_beta(args):
+    rows = [_beta_json(beta(k), args.factored) for k in _ns(args, 0)]
+    lines = []
+    for row in rows:
+        den = row.get("den") or " ".join(f"Phi_{k}" for k in row["den_cyclotomic"]) or "1"
+        lines.append(f"beta_{row['n']} = ({row['num']}) / ({den})")
+    return rows[0] if args.n is not None else rows, "\n".join(lines)
 
 
-def _cmd_carlitz_verify_theorem(args) -> int:
-    ns = [args.n] if args.n is not None else list(range(2, args.max_n + 1))
-    reports = [
-        verify_theorem(k, backend=args.method, series_order=args.order) for k in ns
+def _cmd_carlitz_verify_theorem(args):
+    return [
+        verify_theorem(k, backend=args.method, series_order=args.order) for k in _ns(args, 2)
     ]
-    return _print_reports(reports, args.format)
 
 
-def _cmd_carlitz_genfun(args) -> int:
-    return _print_reports([genfun_check(args.order)], args.format)
+def _cmd_carlitz_genfun(args):
+    return [genfun_check(args.order)]
 
 
-def _cmd_hurwitz_beta(args) -> int:
+def _cmd_hurwitz_beta(args):
     bp = beta_poly(args.n, _parse_fraction(args.x))
     doc = {
         "n": bp.n,
@@ -258,45 +259,36 @@ def _cmd_hurwitz_beta(args) -> int:
         "num": str(bp.value.num),
         "den": str(bp.value.den),
     }
-    if args.format == "json":
-        print(json.dumps(doc))
-    else:
-        note = f"  (in {branch_var(bp.branch)} = q^(1/{bp.branch}))" if bp.branch > 1 else ""
-        print(f"beta_{bp.n}({bp.x}) = ({doc['num']}) / ({doc['den']}){note}")
-    return 0
+    note = f"  (in {branch_var(bp.branch)} = q^(1/{bp.branch}))" if bp.branch > 1 else ""
+    return doc, f"beta_{bp.n}({bp.x}) = ({doc['num']}) / ({doc['den']}){note}"
 
 
-def _cmd_hurwitz_verify(args) -> int:
+def _cmd_hurwitz_verify(args):
     x = _parse_fraction(args.x)
-    ns = [args.n] if args.n is not None else list(range(0, args.max_n + 1))
-    reports = [verify_hurwitz(k, x, backend=args.method) for k in ns]
-    return _print_reports(reports, args.format)
+    return [verify_hurwitz(k, x, backend=args.method) for k in _ns(args, 0)]
 
 
-def _cmd_hurwitz_distribution(args) -> int:
-    rep = check_distribution(args.modulus, _parse_fraction(args.x), args.s, args.r)
-    return _print_reports([rep], args.format)
+def _cmd_hurwitz_distribution(args):
+    return [check_distribution(args.modulus, _parse_fraction(args.x), args.s, args.r)]
 
 
-def _cmd_dirichlet_list(args) -> int:
+def _cmd_dirichlet_list(args):
     chars = characters(args.modulus)
-    if args.format == "json":
-        print(json.dumps([chi.to_json() for chi in chars]))
-    else:
-        for chi in chars:
-            values = ", ".join(
-                f"chi({n})={chi(n)}" for n in range(1, min(chi.modulus + 1, 8))
-            )
-            prim = "primitive" if chi.to_json()["primitive"] else "imprimitive"
-            print(
-                f"modulus {chi.modulus} index {chi.index}: order {chi.order}, {prim}; {values}"
-            )
-    return 0
+    docs = [chi.to_json() for chi in chars]
+    lines = []
+    for chi, doc in zip(chars, docs):
+        values = ", ".join(
+            f"chi({n})={chi(n)}" for n in range(1, min(chi.modulus + 1, 8))
+        )
+        prim = "primitive" if doc["primitive"] else "imprimitive"
+        lines.append(
+            f"modulus {chi.modulus} index {chi.index}: order {chi.order}, {prim}; {values}"
+        )
+    return docs, "\n".join(lines)
 
 
-def _cmd_dirichlet_beta_chi(args) -> int:
-    chi = character(args.modulus, args.index)
-    b = beta_chi(chi, args.n)
+def _cmd_dirichlet_beta_chi(args):
+    b = beta_chi(_chi_from_args(args), args.n)
     doc = {
         "modulus": args.modulus,
         "index": args.index,
@@ -304,31 +296,20 @@ def _cmd_dirichlet_beta_chi(args) -> int:
         "num": b.value.num.json_coeffs(),
         "den": b.value.den.json_coeffs(),
     }
-    if args.format == "json":
-        print(json.dumps(doc))
-    else:
-        print(f"beta_chi(mod {args.modulus} #{args.index}, n={args.n}) = {b.value}")
-    return 0
+    return doc, f"beta_chi(mod {args.modulus} #{args.index}, n={args.n}) = {b.value}"
 
 
-def _cmd_dirichlet_verify(args) -> int:
-    chi = character(args.modulus, args.index)
-    ns = [args.n] if args.n is not None else list(range(1, args.max_n + 1))
-    reports = [verify_chi(chi, k, backend=args.method) for k in ns]
-    return _print_reports(reports, args.format)
+def _cmd_dirichlet_verify(args):
+    chi = _chi_from_args(args)
+    return [verify_chi(chi, k, backend=args.method) for k in _ns(args, 1)]
 
 
-def _cmd_zeta_apply(args) -> int:
+def _cmd_zeta_apply(args):
     P = parse_poly(args.poly)
     spec = _spec_from_args(args, args.s)
     if args.method == "series":
         series = apply_series(spec, P, args.order)
-        doc = series.to_json()
-        if args.format == "json":
-            print(json.dumps(doc))
-        else:
-            print(series)
-        return 0
+        return series.to_json(), str(series)
     result = (apply_geometric if args.method == "geometric" else apply_delta)(spec, P)
     doc = {
         "operator": str(spec),
@@ -337,86 +318,78 @@ def _cmd_zeta_apply(args) -> int:
         "num": result.value.num.json_coeffs(),
         "den": result.value.den.json_coeffs(),
     }
-    if args.format == "json":
-        print(json.dumps(doc))
-    else:
-        print(f"{spec} applied to {P}:")
-        print(f"  {result.value}")
-        if result.branch > 1:
-            print(f"  (in {branch_var(result.branch)} = q^(1/{result.branch}))")
-    return 0
+    lines = [f"{spec} applied to {P}:", f"  {result.value}"]
+    if result.branch > 1:
+        lines.append(f"  (in {branch_var(result.branch)} = q^(1/{result.branch}))")
+    return doc, "\n".join(lines)
 
 
-def _cmd_zeta_euler(args) -> int:
+def _cmd_zeta_euler(args):
     P = parse_poly(args.poly)
     lhs = euler_product_apply(args.s, P, args.prime_bound, args.order)
     rhs = apply_series(OperatorSpec.riemann(args.s), P, args.order)
-    ok = lhs == rhs
     rep = CheckReport(
         f"Euler product = direct series (s={args.s}, primes<={args.prime_bound}, order {args.order})",
-        ok,
+        lhs == rhs,
     )
-    return _print_reports([rep], args.format)
+    return [rep]
 
 
-def _cmd_zeta_numeric(args) -> int:
+def _cmd_zeta_numeric(args):
     P = parse_poly(args.poly)
     x = _parse_fraction(args.x) if args.x is not None else None
-    chi = character(args.modulus, args.index or 0) if args.modulus is not None else None
+    chi = _chi_from_args(args)
     value = numeric_apply(
         _parse_complex(args.s), _parse_complex(args.q0), P, args.eps, x=x, chi=chi
     )
-    if args.format == "json":
-        print(json.dumps({"re": value.real, "im": value.imag, "eps": args.eps}))
-    else:
-        print(f"{value.real!r} + {value.imag!r}i   (tail bound < {args.eps})")
-    return 0
+    doc = {"re": value.real, "im": value.imag, "eps": args.eps}
+    return doc, f"{value.real!r} + {value.imag!r}i   (tail bound < {args.eps})"
 
 
-def _cmd_lemma_commute(args) -> int:
-    reports = [
+def _cmd_lemma_commute(args):
+    return [
         check_commute(m, n, args.s, args.r_max)
         for m in range(1, args.max_mn + 1)
         for n in range(1, args.max_mn + 1)
     ]
-    return _print_reports(reports, args.format)
 
 
-def _cmd_roots_survey(args) -> int:
-    chi = character(args.modulus, args.index or 0) if args.modulus is not None else None
+def _cmd_roots_survey(args):
     reports = beta_root_survey(
         args.max_n,
         tol=args.tol,
-        chi=chi,
+        chi=_chi_from_args(args),
         tol_circle=args.tol_circle,
         tol_real=args.tol_real,
     )
+    docs = [rep.to_json() for rep in reports]
     if args.format == "csv":
-        print("n,re,im,abs,class,residual")
-        for rep in reports:
-            for entry in rep.to_json()["roots"]:
-                print(
+        lines = ["n,re,im,abs,class,residual"]
+        for rep, doc in zip(reports, docs):
+            for entry in doc["roots"]:
+                lines.append(
                     f"{rep.n},{entry['re']!r},{entry['im']!r},{entry['abs']!r},"
                     f"{entry['class']},{entry['residual']!r}"
                 )
-    elif args.format == "json":
-        print(json.dumps([rep.to_json() for rep in reports]))
     else:
+        lines = []
         for rep in reports:
             c = rep.counts
-            print(
+            lines.append(
                 f"n={rep.n}: degree {rep.degree}, "
                 f"{c['real_positive']} real positive, "
                 f"{c['on_unit_circle']} on the unit circle, "
                 f"{c['complex_pairs_off_circle']} in off-circle complex pairs, "
                 f"{c['other_real']} other real"
             )
-    return 0
+    return docs, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+METHODS = ["geometric", "delta", "series"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,143 +399,117 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="group", required=True)
 
-    def add_format(p, csv=False):
-        choices = ["text", "json", "csv"] if csv else ["text", "json"]
-        p.add_argument("--format", choices=choices, default="text")
+    def group(name, help):
+        p = top.add_parser(name, help=help)
+        return p.add_subparsers(dest="command", required=True)
+
+    @contextmanager
+    def command(sub, name, help, func, formats=("text", "json")):
+        # the block adds the command's own options; --format comes last
+        p = sub.add_parser(name, help=help)
+        yield p
+        p.add_argument("--format", choices=list(formats), default="text")
+        p.set_defaults(func=func)
 
     # carlitz -----------------------------------------------------------------
-    carlitz = top.add_parser("carlitz", help="Bernoulli-Carlitz fractions")
-    sub = carlitz.add_subparsers(dest="command", required=True)
+    sub = group("carlitz", "Bernoulli-Carlitz fractions")
 
-    p = sub.add_parser("beta", help="print beta_n")
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--factored", action="store_true", help="cyclotomic denominator")
-    add_format(p)
-    p.set_defaults(func=_cmd_carlitz_beta)
+    with command(sub, "beta", "print beta_n", _cmd_carlitz_beta) as p:
+        p.add_argument("--n", type=int)
+        p.add_argument("--max-n", type=int, default=4)
+        p.add_argument("--factored", action="store_true", help="cyclotomic denominator")
 
-    p = sub.add_parser("verify-theorem", help="beta_n = zeta_q(1-n)(q-(n+1)q^2)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--method", choices=["geometric", "delta", "series"], default="geometric")
-    p.add_argument("--order", type=int, default=60, help="series comparison order")
-    add_format(p)
-    p.set_defaults(func=_cmd_carlitz_verify_theorem)
+    with command(sub, "verify-theorem", "beta_n = zeta_q(1-n)(q-(n+1)q^2)", _cmd_carlitz_verify_theorem) as p:
+        p.add_argument("--n", type=int)
+        p.add_argument("--max-n", type=int, default=6)
+        p.add_argument("--method", choices=METHODS, default="geometric")
+        p.add_argument("--order", type=int, default=60, help="series comparison order")
 
-    p = sub.add_parser("genfun-check", help="functional equation of the generating function")
-    p.add_argument("--order", type=int, default=12)
-    add_format(p)
-    p.set_defaults(func=_cmd_carlitz_genfun)
+    with command(sub, "genfun-check", "functional equation of the generating function", _cmd_carlitz_genfun) as p:
+        p.add_argument("--order", type=int, default=12)
 
     # hurwitz -----------------------------------------------------------------
-    hurwitz = top.add_parser("hurwitz", help="Hurwitz operator and q-Bernoulli polynomials")
-    sub = hurwitz.add_subparsers(dest="command", required=True)
+    sub = group("hurwitz", "Hurwitz operator and q-Bernoulli polynomials")
 
-    p = sub.add_parser("beta", help="print beta_n(x)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", required=True, help='rational, e.g. "1/2"')
-    add_format(p)
-    p.set_defaults(func=_cmd_hurwitz_beta)
+    with command(sub, "beta", "print beta_n(x)", _cmd_hurwitz_beta) as p:
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--x", required=True, help='rational, e.g. "1/2"')
 
-    p = sub.add_parser("verify", help="q^x beta_n(x) = zeta_q(1-n,x)(q-(n+1)q^2)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--x", required=True)
-    p.add_argument("--method", choices=["geometric", "delta", "series"], default="geometric")
-    add_format(p)
-    p.set_defaults(func=_cmd_hurwitz_verify)
+    with command(sub, "verify", "q^x beta_n(x) = zeta_q(1-n,x)(q-(n+1)q^2)", _cmd_hurwitz_verify) as p:
+        p.add_argument("--n", type=int)
+        p.add_argument("--max-n", type=int, default=4)
+        p.add_argument("--x", required=True)
+        p.add_argument("--method", choices=METHODS, default="geometric")
 
-    p = sub.add_parser("distribution-check", help="the distribution relation")
-    p.add_argument("--modulus", type=int, required=True, help="N")
-    p.add_argument("--x", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
-    add_format(p)
-    p.set_defaults(func=_cmd_hurwitz_distribution)
+    with command(sub, "distribution-check", "the distribution relation", _cmd_hurwitz_distribution) as p:
+        p.add_argument("--modulus", type=int, required=True, help="N")
+        p.add_argument("--x", required=True)
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--r", type=int, default=1)
 
     # dirichlet ----------------------------------------------------------------
-    dirichlet = top.add_parser("dirichlet", help="Dirichlet characters and beta_chi")
-    sub = dirichlet.add_subparsers(dest="command", required=True)
+    sub = group("dirichlet", "Dirichlet characters and beta_chi")
 
-    p = sub.add_parser("list", help="enumerate characters mod N")
-    p.add_argument("--modulus", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_dirichlet_list)
+    with command(sub, "list", "enumerate characters mod N", _cmd_dirichlet_list) as p:
+        p.add_argument("--modulus", type=int, required=True)
 
-    p = sub.add_parser("beta-chi", help="print beta_{chi,n}")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_dirichlet_beta_chi)
+    with command(sub, "beta-chi", "print beta_{chi,n}", _cmd_dirichlet_beta_chi) as p:
+        p.add_argument("--modulus", type=int, required=True)
+        p.add_argument("--index", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("verify", help="beta_{chi,n} = L_q(chi,1-n)(q-(n+1)q^2)")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--method", choices=["geometric", "delta", "series"], default="geometric")
-    add_format(p)
-    p.set_defaults(func=_cmd_dirichlet_verify)
+    with command(sub, "verify", "beta_{chi,n} = L_q(chi,1-n)(q-(n+1)q^2)", _cmd_dirichlet_verify) as p:
+        p.add_argument("--modulus", type=int, required=True)
+        p.add_argument("--index", type=int, required=True)
+        p.add_argument("--n", type=int)
+        p.add_argument("--max-n", type=int, default=4)
+        p.add_argument("--method", choices=METHODS, default="geometric")
 
     # zeta ----------------------------------------------------------------------
-    zeta = top.add_parser("zeta", help="apply the operators directly")
-    sub = zeta.add_subparsers(dest="command", required=True)
+    sub = group("zeta", "apply the operators directly")
 
-    p = sub.add_parser("apply", help="apply zeta_q / zeta_q(.,x) / L_q(chi,.) to a polynomial")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--poly", required=True, help='e.g. "q-3*q^2" (no constant term)')
-    p.add_argument("--method", choices=["geometric", "delta", "series"], default="geometric")
-    p.add_argument("--order", type=int, default=20, help="series truncation order")
-    p.add_argument("--x", help="Hurwitz parameter (rational)")
-    p.add_argument("--modulus", type=int, help="character modulus")
-    p.add_argument("--index", type=int, help="character index")
-    add_format(p)
-    p.set_defaults(func=_cmd_zeta_apply)
+    with command(sub, "apply", "apply zeta_q / zeta_q(.,x) / L_q(chi,.) to a polynomial", _cmd_zeta_apply) as p:
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--poly", required=True, help='e.g. "q-3*q^2" (no constant term)')
+        p.add_argument("--method", choices=METHODS, default="geometric")
+        p.add_argument("--order", type=int, default=20, help="series truncation order")
+        p.add_argument("--x", help="Hurwitz parameter (rational)")
+        p.add_argument("--modulus", type=int, help="character modulus")
+        p.add_argument("--index", type=int, help="character index")
 
-    p = sub.add_parser("euler-check", help="Euler product vs direct series")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--poly", default="q")
-    p.add_argument("--prime-bound", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_zeta_euler)
+    with command(sub, "euler-check", "Euler product vs direct series", _cmd_zeta_euler) as p:
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--poly", default="q")
+        p.add_argument("--prime-bound", type=int, required=True)
+        p.add_argument("--order", type=int, required=True)
 
-    p = sub.add_parser("numeric", help="floating-point mode for complex s, |q0| < 1")
-    p.add_argument("--s", required=True, help='complex: "re" or "re,im"')
-    p.add_argument("--q0", required=True, help='complex: "re" or "re,im"')
-    p.add_argument("--poly", required=True)
-    p.add_argument("--eps", type=float, default=1e-12)
-    p.add_argument("--x", help="Hurwitz parameter")
-    p.add_argument("--modulus", type=int)
-    p.add_argument("--index", type=int)
-    add_format(p)
-    p.set_defaults(func=_cmd_zeta_numeric)
+    with command(sub, "numeric", "floating-point mode for complex s, |q0| < 1", _cmd_zeta_numeric) as p:
+        p.add_argument("--s", required=True, help='complex: "re" or "re,im"')
+        p.add_argument("--q0", required=True, help='complex: "re" or "re,im"')
+        p.add_argument("--poly", required=True)
+        p.add_argument("--eps", type=float, default=1e-12)
+        p.add_argument("--x", help="Hurwitz parameter")
+        p.add_argument("--modulus", type=int)
+        p.add_argument("--index", type=int)
 
     # lemma -----------------------------------------------------------------------
-    lemma = top.add_parser("lemma", help="operator identities")
-    sub = lemma.add_subparsers(dest="command", required=True)
+    sub = group("lemma", "operator identities")
 
-    p = sub.add_parser("commute-check", help="(F_m/[m]^s)(F_n/[n]^s) = F_mn/[mn]^s")
-    p.add_argument("--max-mn", type=int, default=6)
-    p.add_argument("--s", type=int, default=-1)
-    p.add_argument("--r-max", type=int, default=3)
-    add_format(p)
-    p.set_defaults(func=_cmd_lemma_commute)
+    with command(sub, "commute-check", "(F_m/[m]^s)(F_n/[n]^s) = F_mn/[mn]^s", _cmd_lemma_commute) as p:
+        p.add_argument("--max-mn", type=int, default=6)
+        p.add_argument("--s", type=int, default=-1)
+        p.add_argument("--r-max", type=int, default=3)
 
     # roots ----------------------------------------------------------------------
-    roots = top.add_parser("roots", help="numerical root surveys")
-    sub = roots.add_subparsers(dest="command", required=True)
+    sub = group("roots", "numerical root surveys")
 
-    p = sub.add_parser("survey", help="root census of beta numerators")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--tol-circle", type=float, default=1e-6)
-    p.add_argument("--tol-real", type=float, default=1e-6)
-    p.add_argument("--modulus", type=int, help="survey beta_{chi,n} for a real character")
-    p.add_argument("--index", type=int)
-    add_format(p, csv=True)
-    p.set_defaults(func=_cmd_roots_survey)
+    with command(sub, "survey", "root census of beta numerators", _cmd_roots_survey, ("text", "json", "csv")) as p:
+        p.add_argument("--max-n", type=int, required=True)
+        p.add_argument("--tol", type=float, default=1e-12)
+        p.add_argument("--tol-circle", type=float, default=1e-6)
+        p.add_argument("--tol-real", type=float, default=1e-6)
+        p.add_argument("--modulus", type=int, help="survey beta_{chi,n} for a real character")
+        p.add_argument("--index", type=int)
 
     return parser
 
@@ -570,19 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    fmt = getattr(args, "format", "text")
     try:
-        return args.func(args)
-    except (
-        DomainError,
-        ParseError,
-        PoleError,
-        ZeroDivisionError,
-        ValueError,
-        ArithmeticError,
-    ) as exc:
+        return _emit(args.func(args), args.format)
+    except (ValueError, ArithmeticError) as exc:  # DomainError, ParseError, PoleError among them
         record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        if fmt == "json":
+        if args.format == "json":
             print(json.dumps(record))
         else:
             print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,6 @@ conjugates over the norm.  Both types are immutable and thread-safe.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .arith import (
     clear_denominators,
@@ -24,8 +23,6 @@ from .arith import (
 )
 
 Rat = Fraction
-
-Rational = Union[int, Fraction]
 
 
 class FieldMismatchError(TypeError):
@@ -226,6 +223,14 @@ class CycRat:
 
 # the coefficient types; each answers not c, c == 1 and Fraction(1) / c itself
 SCALARS = (int, Fraction, CycRat)
+
+
+def exact_rational(value, what: str) -> Fraction:
+    """value as a Fraction; float and complex raise TypeError, as Fraction(0.1)
+    is exact binary, with the denominator 2^55."""
+    if isinstance(value, (float, complex)):
+        raise TypeError(f"exact mode needs a rational {what}, not {type(value).__name__} {value!r}")
+    return Fraction(value)
 
 
 def _reduce_mod_phi(ints: list[int], den: int, m: int) -> list[Fraction]:

@@ -32,6 +32,7 @@ from math import lcm, pi
 
 from .arith import divisors, int_div_pow_minus_one, int_poly_add, prefix_sum, primes_upto
 from .characters import DirichletCharacter
+from .fields import exact_rational
 from .poly import Poly, branch_var, common_m
 from .quantum import quantum_value
 from .ratfunc import CycloFrac, RatFunc, _phi_product
@@ -126,11 +127,8 @@ def _check_exact_s(s: int) -> int:
 
 
 def _hurwitz_x(x) -> Fraction:
-    """x as a positive Fraction; float and complex x raise TypeError, as
-    Fraction(0.1) has the denominator 2^55."""
-    if isinstance(x, (float, complex)):
-        raise TypeError(f"exact mode needs a rational x, not {type(x).__name__} {x!r}")
-    if (x := Fraction(x)) <= 0:
+    """x as a positive Fraction; float and complex x raise TypeError."""
+    if (x := exact_rational(x, "x")) <= 0:
         raise DomainError("Hurwitz parameter x must be a positive rational")
     return x
 

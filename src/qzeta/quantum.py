@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .fields import exact_rational
 from .poly import Poly, branch_var
 from .ratfunc import RatFunc
 from .series import TruncSeries
@@ -52,7 +53,7 @@ def quantum_int(index, branch: int | None = None) -> QuantumInt:
     >>> quantum_int(Fraction(1, 2)).value
     RatFunc('(1) / (1 + v)')
     """
-    index = Fraction(index)
+    index = exact_rational(index, "index")
     if index <= 0:
         raise ValueError("quantum integer index must be positive")
     if branch is None:
@@ -71,7 +72,7 @@ def frobenius(f, n):
     integral (re-express the input on a finer branch first if not);
     TruncSeries enlarges its branch automatically.
     """
-    n = Fraction(n)
+    n = exact_rational(n, "Frobenius index")
     if n <= 0:
         raise ValueError("Frobenius index must be positive")
     if isinstance(f, TruncSeries):

@@ -10,10 +10,9 @@ points reject it.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import SCALARS, FieldMismatchError
+from .fields import SCALARS, FieldMismatchError, exact_rational
 from .poly import Poly, _json_coeff, branch_var, common_var, norm_lanes
 from .ratfunc import RatFunc
 
@@ -117,7 +116,7 @@ class TruncSeries:
         result's order is the largest safe truncation, the input order
         scaled by c.
         """
-        n = Fraction(n)
+        n = exact_rational(n, "Frobenius index")
         if n <= 0:
             raise ValueError("Frobenius index must be positive")
         c, d = n.numerator, n.denominator

@@ -89,6 +89,29 @@ def test_frobenius_on_series():
     assert frobenius(s, 2) == TruncSeries([0, 0, 1, 0, 1], 4)
 
 
+def test_float_indices_are_refused_before_building(monkeypatch):
+    # Fraction(0.1) is exact binary: branch 2^55, and a quantum_value of
+    # 3,602,879,701,896,397 coefficients; the recorders stop any such build
+    def recorder(*args):
+        raise RuntimeError(f"built for a float index: {args!r}")
+
+    monkeypatch.setattr("qzeta.quantum.quantum_value", recorder)
+    monkeypatch.setattr(Poly, "scale_exponents", recorder)
+    for build in (
+        lambda: quantum_int(0.1),
+        lambda: quantum_int(0.5j),
+        lambda: TruncSeries([0, 1], 4).frobenius(0.1),
+        lambda: frobenius(TruncSeries([0, 1], 4), 0.1),
+        lambda: frobenius(Poly([0, 1]), 0.1),
+        lambda: frobenius(RatFunc.from_poly(Poly([0, 1])), 0.1),
+    ):
+        with pytest.raises(TypeError, match="exact mode needs a rational"):
+            build()
+    monkeypatch.undo()
+    assert quantum_int("1/10").branch == 10
+    assert frobenius(TruncSeries([0, 1], 4), "1/2") == TruncSeries([0, 1], 4, 2)
+
+
 # -- Delta: the kernel of apply_delta ---------------------------------------
 #
 # the kernel ({a: 1}, M) stands for f(r) = sum_t q^((a+tM) r); each of the

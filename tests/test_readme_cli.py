@@ -71,6 +71,9 @@ def test_optimized_interpreter_prints_the_same():
         "zeta apply --s -1 --poly 'q-3*q^2'",
         "hurwitz verify --x 1/3 --max-n 8",
         "dirichlet verify --modulus 5 --index 1 --max-n 6",
+        "carlitz beta --n 2 --factored --format json",
+        "dirichlet list --modulus 5 --format json",
+        "roots survey --max-n 10",
     ):
         run = subprocess.run(
             [sys.executable, "-O", "-m", "qzeta.cli", *shlex.split(command)],

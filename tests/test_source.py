@@ -1,8 +1,8 @@
 """Source-level rules for the package: its invariant checks survive
 ``python -O`` (they raise exceptions instead of using ``assert``, which -O
 strips), it does not import mpmath, which only the tests use as an
-oracle, it names the coefficient types in one place, and it builds CycRat
-values only as scalars."""
+oracle, it names the coefficient types in one place, it builds CycRat
+values only as scalars, and only the command's emitter prints."""
 import ast
 from pathlib import Path
 
@@ -72,3 +72,28 @@ def test_cycrat_values_are_built_only_as_scalars(path):
         and id(node) not in allowed
     ]
     assert not found, f"{path.name}: CycRat built on lines {found}"
+
+
+OUTPUT_CALLS = {"print", "json.dumps"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_output_has_one_path(path):
+    # the library returns values; the command prints them once, in cli._emit,
+    # or as main's error record
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = set()
+    for fn in ast.walk(tree):
+        if path.name == "cli.py" and isinstance(fn, ast.FunctionDef):
+            if fn.name == "_emit":
+                allowed |= {id(node) for node in ast.walk(fn)}
+            if fn.name == "main":
+                allowed |= {id(node) for handler in ast.walk(fn)
+                            if isinstance(handler, ast.ExceptHandler) for node in ast.walk(handler)}
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in OUTPUT_CALLS
+        and id(node) not in allowed
+    ]
+    assert not found, f"{path.name}: print or json.dumps called on lines {found}"
